@@ -5,19 +5,24 @@
  * memory-controller queueing behaviour against first-principles
  * expectations (latency monotone in load and in bus period), and
  * byte-identity pins for the event-driven simulation kernel (clean
- * and faulted golden traces, deep-copy/re-seat equivalence, and
- * epoch-slicing invariance).
+ * and faulted golden traces, deep-copy/re-seat equivalence,
+ * epoch-slicing invariance, and counter digests of the kernel paths
+ * no trace fixture covers).
  */
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <list>
 #include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cache/llc.hh"
 #include "common/rng.hh"
+#include "exp/digest.hh"
 #include "exp/policies.hh"
 #include "golden_util.hh"
 #include "memctrl/mem_ctrl.hh"
@@ -387,6 +392,172 @@ TEST(KernelDeterminism, EpochSlicingDoesNotChangeTheEventStream)
     EXPECT_EQ(a.mem.readReqs, b.mem.readReqs);
     for (size_t i = 0; i < a.cores.size(); ++i)
         EXPECT_EQ(a.cores[i].tic, b.cores[i].tic) << "core " << i;
+}
+
+// --- Kernel counter digests ---
+//
+// The trace fixtures above cover the in-order core on whole-epoch
+// run() windows without context switches. These pins cover the
+// kernel paths they miss: out-of-order cores with the next-line
+// prefetcher (LLC hits while misses are outstanding, prefetches
+// issued on hits), context switching (traces swapped between run()
+// calls), and run() windows far shorter than an epoch (a window end
+// falling between an LLC hit and its return). Each folds every
+// counter the kernel produces into one digest; the expected values
+// were recorded before the kernel's hit fast path existed and must
+// never be updated to accommodate a kernel change.
+
+/** Fold every kernel-produced counter of @p sys into @p d. */
+void
+digestSystem(exp::Digest &d, const System &sys)
+{
+    CounterSnapshot s = sys.snapshot();
+    for (const CoreCounters &c : s.cores) {
+        d.add(c.tic);
+        d.add(c.tms);
+        d.add(c.tla);
+        d.add(c.tlm);
+        d.add(c.tls);
+        d.add(c.computeTicks);
+        d.add(c.l2StallTicks);
+        d.add(c.memStallTicks);
+        d.add(c.transitionTicks);
+        d.add(c.aluOps);
+        d.add(c.fpuOps);
+        d.add(c.branchOps);
+        d.add(c.memOps);
+    }
+    d.add(s.llc.accesses);
+    d.add(s.llc.hits);
+    d.add(s.llc.misses);
+    d.add(s.llc.writebacks);
+    d.add(s.llc.prefetchIssued);
+    d.add(s.llc.prefetchUseful);
+    for (const ChannelCounters &c : s.memChannels) {
+        d.add(c.readReqs);
+        d.add(c.writeReqs);
+        d.add(c.prefetchReqs);
+        d.add(c.bankWaitTicks);
+        d.add(c.busWaitTicks);
+        d.add(c.serviceTicks);
+        d.add(c.queueLenSum);
+        d.add(c.queueSamples);
+        d.add(c.rowHits);
+        d.add(c.rowMisses);
+        d.add(c.rowConflicts);
+        d.add(c.activations);
+        d.add(c.precharges);
+        d.add(c.readBursts);
+        d.add(c.writeBursts);
+        d.add(c.refreshes);
+        d.add(c.busBusyTicks);
+        d.add(c.rankActiveTicks);
+    }
+    d.add(sys.eventsDispatched());
+    d.add(sys.now());
+    for (Tick t : sys.appCompletionTicks())
+        d.add(t);
+}
+
+std::string
+hex(std::uint64_t v)
+{
+    char buf[19];
+    std::snprintf(buf, sizeof buf, "0x%016" PRIx64, v);
+    return buf;
+}
+
+/**
+ * A deterministic DVFS decision for epoch @p e: every core and the
+ * memory bus step through their ladders out of phase, so transition
+ * halts land on cores in every state.
+ */
+FreqConfig
+rotatingConfig(const System &sys, int e)
+{
+    const SystemConfig &cfg = sys.config();
+    FreqConfig fc;
+    for (int i = 0; i < sys.numCores(); ++i)
+        fc.coreIdx.push_back((e + 3 * i) % cfg.coreLadder.size());
+    fc.memIdx = e % cfg.memLadder.size();
+    return fc;
+}
+
+/**
+ * Drive @p sys for @p epochs whole epochs the way the runner does
+ * (DVFS decision, optional rotation every quantum, run), digesting
+ * every counter after each epoch.
+ */
+std::uint64_t
+digestEpochs(System &sys, int epochs)
+{
+    const SystemConfig &cfg = sys.config();
+    exp::Digest d;
+    for (int e = 0; e < epochs; ++e) {
+        if (cfg.schedQuantumEpochs > 0 && e > 0
+            && e % cfg.schedQuantumEpochs == 0)
+            sys.rotateApps();
+        sys.applyConfig(rotatingConfig(sys, e));
+        sys.run(sys.now() + cfg.epochLen);
+        digestSystem(d, sys);
+    }
+    return d.value();
+}
+
+TEST(KernelPin, OutOfOrderWithNextLinePrefetchDigest)
+{
+    // A demand read cannot finish inside the default 7.5 ns hit
+    // latency (the controller alone adds 10 ns), so a slow 60 ns LLC
+    // lets completions land while their core waits out a hit: the
+    // case where the hit's return must see them before it runs.
+    SystemConfig cfg = fixtureConfig();
+    cfg.numCores = 4;
+    cfg.ooo = true;
+    cfg.llc.prefetchNextLine = true;
+    cfg.llc.hitLatencyNs = 60.0;
+    System sys(cfg, expandMix(mixByName("MIX1"), cfg.numCores,
+                              cfg.instrBudget));
+    std::uint64_t got = digestEpochs(sys, 8);
+    // The pin must actually reach the paths it protects.
+    CounterSnapshot s = sys.snapshot();
+    EXPECT_GT(s.llc.prefetchUseful, 0u);
+    EXPECT_GT(s.llc.misses, 0u);
+    EXPECT_EQ(hex(got), "0xa1a9d8393d5c289c");
+}
+
+TEST(KernelPin, ContextSwitchingDigest)
+{
+    SystemConfig cfg = fixtureConfig();
+    cfg.schedQuantumEpochs = 2;
+    // Small per-thread budgets, so every thread finishes inside the
+    // pinned window and its completion tick is part of the digest.
+    cfg.instrBudget = 400'000;
+    System sys(cfg, expandMix(mixByName("MID1"), 3, cfg.instrBudget));
+    ASSERT_EQ(sys.numApps(), 3);
+    std::uint64_t got = digestEpochs(sys, 16);
+    for (Tick t : sys.appCompletionTicks())
+        EXPECT_NE(t, maxTick) << "an application never completed";
+    EXPECT_EQ(hex(got), "0x089df1cd0af0199d");
+}
+
+TEST(KernelPin, SubEpochWindowsDigest)
+{
+    SystemConfig cfg = fixtureConfig();
+    System sys(cfg, expandMix(mixByName("MID1"), cfg.numCores,
+                              cfg.instrBudget));
+    // Windows of 1-24 ns against a 7.5 ns LLC hit latency, so many
+    // window ends fall between a hit and its return. A DVFS change
+    // every 64 windows lets a mis-timed return change later state too.
+    exp::Digest d;
+    Rng rng(5);
+    Tick end = 2 * cfg.epochLen;
+    for (int w = 0; sys.now() < end; ++w) {
+        if (w % 64 == 63)
+            sys.applyConfig(rotatingConfig(sys, w / 64));
+        sys.run(sys.now() + (1 + rng.range(24)) * tickPerNs);
+        digestSystem(d, sys);
+    }
+    EXPECT_EQ(hex(d.value()), "0x10e314c575a7c140");
 }
 
 } // namespace
