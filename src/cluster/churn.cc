@@ -69,12 +69,14 @@ std::uint64_t
 parseU64(const std::string &token, const std::string &value,
          std::size_t offset)
 {
+    // strtoull skips leading whitespace and accepts a sign, wrapping
+    // " -5" to 2^64 - 5, so the token must start with a digit.
     errno = 0;
     const char *begin = value.c_str();
     char *end = nullptr;
     unsigned long long v = std::strtoull(begin, &end, 10);
-    if (end == begin || *end != '\0' || errno == ERANGE
-        || value[0] == '-') {
+    if (value[0] < '0' || value[0] > '9' || *end != '\0'
+        || errno == ERANGE) {
         throw ChurnParseError(
             ChurnParseError::Kind::BadValue, token, offset,
             "'" + value + "' is not an unsigned integer");

@@ -423,6 +423,13 @@ TEST(ArrivalParse, StructuredErrorKinds)
     expectParseError("bogus=3", ArrivalParseError::Kind::UnknownKey);
     expectParseError("rate=abc", ArrivalParseError::Kind::BadValue);
     expectParseError("seed=-3", ArrivalParseError::Kind::BadValue);
+    // strtoull skips whitespace and accepts a sign: these must not
+    // wrap to 2^64 - 5 and 2^64 - 1.
+    expectParseError("seed= -5", ArrivalParseError::Kind::BadValue);
+    expectParseError("period= -1", ArrivalParseError::Kind::BadValue);
+    expectParseError("seed=\t-5", ArrivalParseError::Kind::BadValue);
+    expectParseError("seed=+5", ArrivalParseError::Kind::BadValue);
+    expectParseError("seed= 5", ArrivalParseError::Kind::BadValue);
     expectParseError("rate=nan", ArrivalParseError::Kind::BadValue);
     expectParseError("rate=-5", ArrivalParseError::Kind::OutOfRange);
     expectParseError("diurnal=1.5",
@@ -1156,6 +1163,12 @@ TEST(ChurnParse, StructuredErrorKinds)
     expectChurnError("bogus=3", Kind::UnknownKey);
     expectChurnError("crash=abc", Kind::BadValue);
     expectChurnError("seed=-3", Kind::BadValue);
+    // strtoull skips whitespace and accepts a sign: no wrapping.
+    expectChurnError("seed= -5", Kind::BadValue);
+    expectChurnError("reboot= -1", Kind::BadValue);
+    expectChurnError("seed=\t-5", Kind::BadValue);
+    expectChurnError("seed=+5", Kind::BadValue);
+    expectChurnError("dead= 4", Kind::BadValue);
     expectChurnError("crash=nan", Kind::BadValue);
     expectChurnError("crash=1.5", Kind::OutOfRange);
     expectChurnError("crash=-0.1", Kind::OutOfRange);
@@ -1174,6 +1187,81 @@ TEST(ChurnParse, ErrorCarriesTokenAndOffset)
     EXPECT_EQ(e.token(), "bogus=3");
     EXPECT_EQ(e.charOffset(), 11u);
     EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos);
+}
+
+TEST(ChurnParse, FuzzedSpecsThrowOnlyChurnParseError)
+{
+    const std::string base =
+        "crash=0.05,reboot=4,ramp=3,flap=0.02,hang=0.07,hangx=5,"
+        "blackout=0.15,blackoutx=2,suspect=2,dead=4,seed=7";
+    const std::string pool = "=,.-+eE019xcrashed \t%";
+    // Value prefixes strtoull would skip or fold into the number.
+    const char *const prefixes[] = {" ", "\t", "-", "+", " -", "\t-"};
+    int parsed = 0;
+    int rejected = 0;
+    for (std::uint64_t k = 0; k < 2000; ++k) {
+        std::string s = base;
+        // 1-4 hash-driven edits: replace, insert, or delete a char,
+        // or prefix the value after some '='.
+        int edits = 1 + static_cast<int>(
+            cluster::arrivalHash(3, k, ArrivalStream::Route, 0) % 4);
+        for (int e = 0; e < edits; ++e) {
+            std::uint64_t h = cluster::arrivalHash(
+                4, k, ArrivalStream::Route,
+                static_cast<std::uint64_t>(e));
+            size_t at = s.empty() ? 0 : (h % s.size());
+            char c = pool[(h >> 16) % pool.size()];
+            switch ((h >> 32) % 4) {
+              case 0:
+                if (!s.empty())
+                    s[at] = c;
+                break;
+              case 1:
+                s.insert(at, 1, c);
+                break;
+              case 2:
+                if (!s.empty())
+                    s.erase(at, 1);
+                break;
+              default: {
+                size_t eq = s.find('=', at);
+                if (eq != std::string::npos)
+                    s.insert(eq + 1, prefixes[(h >> 16) % 6]);
+                break;
+              }
+            }
+        }
+        try {
+            cluster::ChurnPlan p = cluster::parseChurnSpec(s);
+            // Whatever parsed must satisfy the documented ranges.
+            for (double prob : {p.crashProb, p.flapProb, p.hangProb,
+                                p.blackoutProb}) {
+                EXPECT_GE(prob, 0.0) << "spec '" << s << "'";
+                EXPECT_LE(prob, 1.0) << "spec '" << s << "'";
+            }
+            for (int n : {p.rebootEpochs, p.hangEpochs,
+                          p.blackoutEpochs, p.suspectAfter,
+                          p.deadAfter}) {
+                EXPECT_GE(n, 1) << "spec '" << s << "'";
+                EXPECT_LE(n, 1'000'000) << "spec '" << s << "'";
+            }
+            EXPECT_GE(p.rampEpochs, 0) << "spec '" << s << "'";
+            EXPECT_GE(p.deadAfter, p.suspectAfter);
+            // A few edits of seed=7 stay far below 2^63; a wrapped
+            // negative lands above it.
+            EXPECT_LT(p.seed, std::uint64_t(1) << 63)
+                << "spec '" << s << "'";
+            parsed += 1;
+        } catch (const cluster::ChurnParseError &e) {
+            EXPECT_LE(e.charOffset(), s.size())
+                << "spec '" << s << "'";
+            rejected += 1;
+        }
+        // Any other exception type escapes and fails the test.
+    }
+    // The mutator must exercise both paths to mean anything.
+    EXPECT_GT(parsed, 0);
+    EXPECT_GT(rejected, 100);
 }
 
 // --- churn draws: stateless determinism ---
