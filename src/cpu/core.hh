@@ -58,6 +58,12 @@ class Core
     /** Absolute tick of the next core event (maxTick if blocked). */
     Tick nextEventTick() const { return wakeAt; }
 
+    /** True while executing a gap that ends in an LLC access. */
+    bool computing() const { return state == State::Compute; }
+
+    /** Block the LLC access ending the current gap will touch. */
+    BlockAddr pendingAddr() const { return current.addr; }
+
     /**
      * Advance the core; must be called when simulated time reaches
      * nextEventTick(). May request an LLC access, in which case the
