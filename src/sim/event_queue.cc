@@ -9,15 +9,7 @@ EventQueue::reset(int num_components)
 {
     COSCALE_CHECK(num_components >= 0,
                   "negative component count %d", num_components);
-    std::size_t n = static_cast<std::size_t>(num_components);
-    heap.resize(n);
-    pos.resize(n);
-    keys.assign(n, maxTick);
-    // All keys equal maxTick, so rank order is already heap order.
-    for (std::size_t i = 0; i < n; ++i) {
-        heap[i] = static_cast<int>(i);
-        pos[i] = i;
-    }
+    keys.assign(static_cast<std::size_t>(num_components), maxTick);
 }
 
 } // namespace coscale
