@@ -4,13 +4,16 @@
  * every policy, checking the paper's headline behavioural claims —
  * CoScale and Semi-coordinated respect the bound, Uncoordinated
  * violates it, Offline matches or beats CoScale, energy savings are
- * real, and runs are deterministic.
+ * real, and runs are deterministic — plus the Reactive feedback
+ * governor, which holds the bound but saves less than CoScale.
  *
  * These run at a small time scale (0.05) to keep ctest fast; the
  * bench harnesses repeat them at the default scale.
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdlib>
 
 #include "policy/coscale_policy.hh"
 #include "policy/offline.hh"
@@ -326,6 +329,52 @@ TEST(Runner, CustomAppsRun)
     RunResult r = coscale::run(RunRequest::forApps(cfg, "custom", apps).with(policy));
     EXPECT_GT(r.totalInstrs, 4u * 200'000u);
     EXPECT_GT(r.totalEnergyJ(), 0.0);
+}
+
+TEST(Reactive, MeetsBoundAndSavesSomething)
+{
+    SystemConfig cfg = makeScaledConfig(0.05);
+    BaselinePolicy b;
+    RunResult base = coscale::run(RunRequest::forMix(cfg, mixByName("MID1")).with(b));
+    ReactivePolicy policy(cfg.numCores, cfg.gamma);
+    RunResult run = coscale::run(RunRequest::forMix(cfg, mixByName("MID1")).with(policy));
+    Comparison c = compare(base, run);
+    EXPECT_LE(c.worstDegradation, cfg.gamma + 0.006);
+    EXPECT_GT(c.fullSystemSavings, 0.02);
+}
+
+TEST(Reactive, LosesToModelPredictiveCoScale)
+{
+    // The point of the comparison (Section 2.1): reactive stepping
+    // converges slowly and cannot trade the knobs, so it saves less.
+    SystemConfig cfg = makeScaledConfig(0.05);
+    BaselinePolicy b;
+    RunResult base = coscale::run(RunRequest::forMix(cfg, mixByName("MID3")).with(b));
+
+    ReactivePolicy reactive(cfg.numCores, cfg.gamma);
+    Comparison c_r =
+        compare(base, coscale::run(RunRequest::forMix(cfg, mixByName("MID3")).with(reactive)));
+    CoScalePolicy cs(cfg.numCores, cfg.gamma);
+    Comparison c_cs =
+        compare(base, coscale::run(RunRequest::forMix(cfg, mixByName("MID3")).with(cs)));
+    EXPECT_GT(c_cs.fullSystemSavings, c_r.fullSystemSavings + 0.01);
+}
+
+TEST(Reactive, StepsAreUniformAndIncremental)
+{
+    SystemConfig cfg = makeScaledConfig(0.05);
+    ReactivePolicy policy(cfg.numCores, cfg.gamma);
+    RunResult r = coscale::run(RunRequest::forMix(cfg, mixByName("MID1")).with(policy));
+    for (size_t e = 1; e < r.epochs.size(); ++e) {
+        const auto &prev = r.epochs[e - 1].applied;
+        const auto &cur = r.epochs[e].applied;
+        // Uniform core frequency across the chip.
+        for (int idx : cur.coreIdx)
+            EXPECT_EQ(idx, cur.coreIdx[0]);
+        // Never moves more than one step per dimension per epoch.
+        EXPECT_LE(std::abs(cur.memIdx - prev.memIdx), 1);
+        EXPECT_LE(std::abs(cur.coreIdx[0] - prev.coreIdx[0]), 1);
+    }
 }
 
 } // namespace
