@@ -41,7 +41,7 @@ Llc::Llc(const LlcConfig &cfg)
     setShift = log2OfPowerOfTwo(set_count);
     setMask = set_count - 1;
     std::uint64_t n = set_count * static_cast<std::uint64_t>(cfg.ways);
-    tags.assign(n, invalidTag);
+    tags.resize(n);  // every way empty: invalidTag is zero
     meta.resize(n);
 }
 
@@ -82,7 +82,7 @@ Llc::findWay(std::uint64_t set, StoredTag tag) const
 bool
 Llc::probe(BlockAddr addr) const
 {
-    COSCALE_DCHECK((addr >> setShift) < invalidTag,
+    COSCALE_DCHECK((addr >> setShift) < shiftedTagLimit,
                    "block address overflows the stored tag");
     return findWay(addr & setMask, tagOf(addr)) >= 0;
 }
@@ -214,7 +214,9 @@ Llc::insert(BlockAddr addr, bool dirty, bool prefetched,
         }
         if (meta_base[slot].dirty()) {
             dirty_evict = true;
-            victim = (static_cast<BlockAddr>(tag_base[slot]) << setShift)
+            victim = (static_cast<BlockAddr>(
+                          static_cast<StoredTag>(~tag_base[slot]))
+                      << setShift)
                      | set;
             stats.writebacks += 1;
         }
@@ -231,7 +233,7 @@ Llc::access(BlockAddr addr, bool write, int core)
     LlcAccessResult res;
     stats.accesses += 1;
 
-    COSCALE_DCHECK((addr >> setShift) < invalidTag,
+    COSCALE_DCHECK((addr >> setShift) < shiftedTagLimit,
                    "block address overflows the stored tag");
     std::uint64_t set = addr & setMask;
     if (core >= 0 && !shadowMissCtr.empty()
