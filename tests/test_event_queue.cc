@@ -4,7 +4,7 @@
  * (sim/event_queue.hh): tie-break ordering (the memory controller's
  * rank 0 beats cores at equal ticks, cores fire in index order),
  * reschedule/cancel semantics, the monotonic-clock invariant under
- * back-dated issues (the case documented in System::run), and heap
+ * back-dated issues (the case documented in System::run), and
  * behaviour at the maxTick sentinel.
  */
 
@@ -124,7 +124,7 @@ TEST(EventQueue, ParkingCancelsAPendingEvent)
 TEST(EventQueue, ParkedComponentsTieBreakByRankAtSentinel)
 {
     // All keys equal maxTick is the everything-idle steady state; the
-    // heap must stay valid and re-activation must still work.
+    // queue must stay valid and re-activation must still work.
     EventQueue eq(6);
     eq.schedule(3, 10);
     EXPECT_EQ(popTop(eq), 3);
@@ -150,7 +150,7 @@ TEST(EventQueue, ResetRestoresParkedStateAtNewSize)
 TEST(EventQueue, CopyIsIndependent)
 {
     // The System deep-copies (Offline clone-ahead); the copy's queue
-    // must not alias the original's heap state.
+    // must not alias the original's key array.
     EventQueue a(4);
     a.schedule(1, 100);
     a.schedule(2, 50);
@@ -199,7 +199,7 @@ TEST(EventQueue, BackDatedIssueKeepsClampedClockMonotonic)
 }
 
 /**
- * Randomized differential test: the heap's (topRank, topTick) must
+ * Randomized differential test: the queue's (topRank, topTick) must
  * always equal a from-scratch linear scan with the historical
  * tie-break (strict <, lowest rank wins) over any schedule sequence,
  * including back-dated keys and sentinel parks.
