@@ -1528,6 +1528,10 @@ ClusterConfig
 goldenConfig()
 {
     ClusterConfig cfg = testCluster(8, 6);
+    // Pin the paper-default backend, like test_golden's fixtureConfig,
+    // so CI's COSCALE_MEM_SCHED/ROW_POLICY/DRAM_STANDARD leg cannot
+    // reach the fixture bytes through makeScaledConfig.
+    applyMemBackend(cfg.node, MemBackendSel{});
     cfg.policy = "fastcap";
     cfg.budgetW = feasibleBudget(cfg, 0.7);
     return cfg;
