@@ -16,16 +16,26 @@
 # swapping which side runs first in every other pair, so drift in host
 # speed hits both sides alike. For every metric the result line
 # reports, it prints both sides' median and quartiles, the head/base
-# median ratio, and in how many pairs the head was better (direction
-# from BENCHMARK.json). It also says whether the `digest` lines, which
-# hash the simulated statistics, were identical across all runs.
+# median ratio, in how many pairs the head was better (direction from
+# BENCHMARK.json), and two verdicts:
+#
+#   gain   "yes" when the head won at least 9 of every 10 pairs (ties
+#          count for neither side) and its median is better than the
+#          base's by more than the base's interquartile range;
+#   bound  for metrics with a BENCHMARK.json bound (a fraction of the
+#          base median), "WORSE" when the head's median is worse than
+#          the base's by more than that bound, else "ok".
+#
+# It also says whether the `digest` lines, which hash the simulated
+# statistics, were identical across all runs.
 #
 # Exit status: 0 when every run succeeded and the digests match, 2 when
 # the digests differ, 1 on a failed build or run. Run logs stay in
 # DIR/logs. A temporary DIR is removed at exit; a --workdir DIR is kept,
 # and a later call with the same DIR reuses its builds.
 #
-# Defaults: --workload single-mid --seed 1 --seconds 5 --trace 0.
+# Defaults: --workload single-mid --seed 1 --trace 0, and --seconds
+# BENCHMARK.json's run_seconds (the benchmark's own run length).
 
 set -euo pipefail
 
@@ -33,7 +43,7 @@ base=HEAD~1
 head=HEAD
 workload=single-mid
 seed=1
-seconds=5
+seconds=
 pairs=10
 trace=0
 workdir=
@@ -60,6 +70,10 @@ while [ $# -gt 0 ]; do
 done
 
 repo=$(git rev-parse --show-toplevel)
+if [ -z "$seconds" ]; then
+    seconds=$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["run_seconds"])' "$repo/BENCHMARK.json")
+fi
 base_sha=$(git -C "$repo" rev-parse --verify "$base^{commit}")
 head_sha=$(git -C "$repo" rev-parse --verify "$head^{commit}")
 
@@ -133,11 +147,14 @@ import sys
 
 logs, pairs, bench_json = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 better = {}
+bound = {}
 if os.path.exists(bench_json):
     with open(bench_json) as f:
         spec = json.load(f)
     for m in spec.get("end_to_end", []) + spec.get("per_layer", []):
         better[m["name"]] = m.get("better", "lower")
+        if "bound" in m:
+            bound[m["name"]] = m["bound"]
 
 
 def load(side, pair):
@@ -159,8 +176,10 @@ def quartiles(xs):
 
 
 names = list(runs["head"][0][0])
+gains, over = [], []
 print(f"{'metric':<28} {'unit':<9} {'base median [q1, q3]':<38} "
-      f"{'head median [q1, q3]':<38} {'ratio':>6} {'wins':>6}")
+      f"{'head median [q1, q3]':<38} {'ratio':>6} {'wins':>6} "
+      f"{'gain':>4} {'bound':>5}")
 for name in names:
     if not all(name in m for m, _ in runs["base"]):
         continue
@@ -171,12 +190,29 @@ for name in names:
     lower = better.get(name, "lower") == "lower"
     wins = sum((hv < bv) if lower else (hv > bv) for bv, hv in zip(b, h))
     ratio = hq[1] / bq[1] if bq[1] else float("nan")
+    # Signed improvement of the head's median over the base's.
+    gap = (bq[1] - hq[1]) if lower else (hq[1] - bq[1])
+    gain = 10 * wins >= 9 * len(b) and gap > bq[2] - bq[0]
+    if gain:
+        gains.append(name)
+    verdict = "-"
+    if name in bound:
+        worse = -gap > bound[name] * abs(bq[1])
+        verdict = "WORSE" if worse else "ok"
+        if worse:
+            over.append(name)
 
     def fmt(q):
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
     print(f"{name:<28} {unit:<9} {fmt(bq):<38} {fmt(hq):<38} "
-          f"{ratio:6.3f} {wins:>3}/{len(b)}")
+          f"{ratio:6.3f} {wins:>3}/{len(b)} {'yes' if gain else 'no':>4} "
+          f"{verdict:>5}")
+
+print("gain (>= 9/10 pairs, median gap > base IQR): "
+      + (", ".join(gains) if gains else "none"))
+print("worse than base by more than the bound: "
+      + (", ".join(over) if over else "none"))
 
 digests = {s: {tuple(d) for _, d in runs[s]} for s in runs}
 for s in runs:

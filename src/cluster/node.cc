@@ -76,6 +76,12 @@ NodeSim::advanceEpoch(double granted_cap_w)
         epochNo < cfg.warmupEpochs
             ? prev_cfg
             : policy->safeDecide(prof, em, prev_cfg, cfg.epochLen);
+    // Same hold rule as the single-machine loop: a policy that does
+    // not speak the way dimension (empty wayIdx) keeps the installed
+    // partition, so granted, the fault filter and obs.applied all see
+    // the partition the LLC keeps running.
+    if (decision.wayIdx.empty() && !prev_cfg.wayIdx.empty())
+        decision.wayIdx = prev_cfg.wayIdx;
     FreqConfig granted =
         inj ? inj->filterTransition(decision, prev_cfg, fepoch,
                                     sys.now(), nullptr, nullptr)

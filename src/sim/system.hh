@@ -270,12 +270,14 @@ class System
     void reseat();
 
     /**
-     * Resolve @p core's LLC access at curTick. A hit that leaves the
-     * core with no outstanding misses and a wake tick before @p until
-     * has its return (the StallL2 step) run inline at that tick and
-     * counted as a dispatched event, instead of a queue round trip.
+     * Enqueue the memory traffic of @p core's LLC access to @p addr
+     * at curTick, whose result is @p res: a miss's demand read (the
+     * core then stalls on it), dirty-victim writebacks and the
+     * next-line prefetch. A plain hit has none and never calls this;
+     * run() handles it inline.
      */
-    void handleLlcAccess(Core &core, const CoreEvent &ev, Tick until);
+    void forwardToMemory(Core &core, BlockAddr addr,
+                         const LlcAccessResult &res);
 
     // --- event-kernel reschedule hooks ---
     // Called after any operation that may move a component's cached

@@ -27,7 +27,7 @@ SyntheticTraceSource::SyntheticTraceSource(AppSpec spec, int addr_space,
     streamPtr = rng.range(streamRegionBlocks);
 }
 
-const AppPhase &
+[[gnu::always_inline]] inline const AppPhase &
 SyntheticTraceSource::blendedPhase() const
 {
     const AppPhase &cur = app.phases[phaseIdx];
@@ -54,7 +54,7 @@ SyntheticTraceSource::blendedPhase() const
     return blendBuf;
 }
 
-void
+[[gnu::always_inline]] inline void
 SyntheticTraceSource::advancePhase(std::uint64_t instrs)
 {
     while (instrs >= phaseInstrsLeft) {
@@ -66,7 +66,7 @@ SyntheticTraceSource::advancePhase(std::uint64_t instrs)
     phaseInstrsLeft -= instrs;
 }
 
-void
+[[gnu::always_inline]] inline void
 SyntheticTraceSource::refreshRates(const AppPhase &p)
 {
     if (p.l1Mpki == rateKeyL1 && p.llcMpki == rateKeyLlc)
@@ -81,7 +81,7 @@ SyntheticTraceSource::refreshRates(const AppPhase &p)
         p.l1Mpki > 0.0 ? std::min(1.0, p.llcMpki / p.l1Mpki) : 0.0;
 }
 
-BlockAddr
+[[gnu::always_inline]] inline BlockAddr
 SyntheticTraceSource::pickAddress(const AppPhase &p)
 {
     if (rng.bernoulli(memoMissRatio)) {

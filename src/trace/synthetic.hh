@@ -65,6 +65,9 @@ class SyntheticTraceSource final : public TraceSource
     const AppSpec &spec() const { return app; }
 
   private:
+    // The four helpers below are next()'s steps, defined always-inline
+    // in synthetic.cc, so generating a record calls none of them.
+
     /**
      * Effective phase parameters, ramped linearly from the previous
      * phase over the first ~15% of the current phase (real programs

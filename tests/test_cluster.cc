@@ -34,10 +34,12 @@
 #include "cluster/allocator.hh"
 #include "cluster/arrival.hh"
 #include "cluster/cluster.hh"
+#include "cluster/node.hh"
 #include "exp/engine.hh"
 #include "obs/trace_sink.hh"
 #include "policy/fastcap.hh"
 #include "policy/power_cap.hh"
+#include "workloads/spec_catalogue.hh"
 
 #include "golden_util.hh"
 
@@ -864,6 +866,67 @@ TEST_F(FastCapFixture, SetPowerCapRetargetsTheNextDecision)
     EXPECT_LE(em.systemPower(prof, narrow), tight);
     EXPECT_LT(em.systemPower(prof, narrow),
               em.systemPower(prof, wide));
+}
+
+// --- NodeSim: the epoch loop ---
+
+/**
+ * Keeps every DVFS knob, never speaks the way dimension (returns an
+ * empty wayIdx), and records the configuration each epoch reports as
+ * applied.
+ */
+class WaylessSpyPolicy final : public Policy
+{
+  public:
+    explicit WaylessSpyPolicy(FreqConfig *applied) : applied(applied) {}
+
+    std::string name() const override { return "wayless-spy"; }
+
+    FreqConfig
+    decide(const SystemProfile &, const EnergyModel &,
+           const FreqConfig &current, Tick) override
+    {
+        FreqConfig d = current;
+        d.wayIdx.clear();
+        return d;
+    }
+
+    void
+    observeEpoch(const EpochObservation &obs, const EnergyModel &) override
+    {
+        *applied = obs.applied;
+    }
+
+  private:
+    FreqConfig *applied;
+};
+
+TEST(NodeSim, WaylessPolicyHoldsTheInstalledPartition)
+{
+    // 8 cores on 16 ways clear the System's ways >= 2 * cores gate,
+    // so the node boots with an installed partition.
+    SystemConfig cfg = makeScaledConfig(0.02);
+    cfg.numCores = 8;
+    cfg.power.numCores = 8;
+    cfg.knobs.llcWays = true;
+    cfg.warmupEpochs = 0;
+    std::vector<AppSpec> apps =
+        expandMix(mixByName("MID1"), cfg.numCores, cfg.instrBudget);
+    FreqConfig applied;
+    PolicyFactory spy = [&applied] {
+        return std::make_unique<WaylessSpyPolicy>(&applied);
+    };
+    cluster::NodeSim node(0, cfg, apps, spy, fault::FaultPlan{});
+    ASSERT_FALSE(node.system().currentConfig().wayIdx.empty());
+
+    for (int e = 0; e < 2; ++e) {
+        node.advanceEpoch(0.0);
+        FreqConfig running = node.system().currentConfig();
+        EXPECT_EQ(applied.coreIdx, running.coreIdx);
+        EXPECT_EQ(applied.memIdx, running.memIdx);
+        EXPECT_EQ(applied.chanIdx, running.chanIdx);
+        EXPECT_EQ(applied.wayIdx, running.wayIdx);
+    }
 }
 
 // --- ClusterSim: fleet properties, byte identity, goldens ---

@@ -308,5 +308,41 @@ TEST(Core, CopyIsIndependent)
     EXPECT_EQ(b.counters().tic, 0u);
 }
 
+/** Run @p core's pending access as an LLC hit; returns its block. */
+BlockAddr
+accessAsHit(Core &core)
+{
+    Tick t = core.nextEventTick();
+    CoreEvent ev = core.step(t);
+    EXPECT_TRUE(ev.wantsLlc);
+    core.completeHit(t, nsToTicks(7.5));
+    core.step(core.nextEventTick());  // the hit returns; next record
+    return ev.addr;
+}
+
+TEST(Core, SwappedBackTraceResumesAfterItsLastConsumedRecord)
+{
+    CoreConfig cfg = makeCfg();
+    std::vector<TraceRecord> mine, other;
+    for (BlockAddr i = 0; i < 32; ++i) {
+        mine.push_back(rec(10, 100, 100 + i));
+        other.push_back(rec(10, 100, 200 + i));
+    }
+    Core core(0, &cfg, handle(mine), 0);
+    EXPECT_EQ(accessAsHit(core), 100u);
+    EXPECT_EQ(accessAsHit(core), 101u);
+
+    // Record 102's gap has begun, so the core has consumed it: it is
+    // abandoned on the way out, and the trace resumes after it.
+    TraceHandle parked =
+        core.swapTrace(handle(other), core.nextEventTick(), 0);
+    EXPECT_EQ(accessAsHit(core), 200u);
+    EXPECT_EQ(accessAsHit(core), 201u);
+
+    core.swapTrace(std::move(parked), core.nextEventTick(), 0);
+    for (BlockAddr want = 103; want < 110; ++want)
+        EXPECT_EQ(accessAsHit(core), want);
+}
+
 } // namespace
 } // namespace coscale

@@ -212,17 +212,57 @@ TEST(TraceHandle, CopyClones)
 {
     TraceHandle h(std::make_unique<SyntheticTraceSource>(simpleApp(), 0,
                                                          11));
-    h->next();
+    h.next();
     TraceHandle copy = h;
-    TraceRecord a = h->next();
-    TraceRecord b = copy->next();
+    TraceRecord a = h.next();
+    TraceRecord b = copy.next();
     EXPECT_EQ(a.addr, b.addr);
     // Diverge independently afterwards.
-    h->next();
-    TraceRecord c = h->next();
-    TraceRecord d = copy->next();
+    h.next();
+    TraceRecord c = h.next();
+    TraceRecord d = copy.next();
     EXPECT_EQ(c.gapInstrs, c.gapInstrs);
     (void)d;
+}
+
+/** Every field of @p got equals @p want's. */
+void
+expectSameRecord(const TraceRecord &got, const TraceRecord &want)
+{
+    EXPECT_EQ(got.addr, want.addr);
+    EXPECT_EQ(got.gapInstrs, want.gapInstrs);
+    EXPECT_EQ(got.gapCycles, want.gapCycles);
+    EXPECT_EQ(got.aluOps, want.aluOps);
+    EXPECT_EQ(got.fpuOps, want.fpuOps);
+    EXPECT_EQ(got.branchOps, want.branchOps);
+    EXPECT_EQ(got.memOps, want.memOps);
+    EXPECT_EQ(got.isWrite, want.isWrite);
+}
+
+TEST(TraceHandle, CopyMidRingContinuesTheStream)
+{
+    // The handle hands out exactly its source's stream, in order.
+    SyntheticTraceSource ref(simpleApp(), 0, 21);
+    TraceHandle h(std::make_unique<SyntheticTraceSource>(simpleApp(), 0,
+                                                         21));
+    // Stop partway round the ring, so a copy must carry both the
+    // records generated ahead and the slot it is at.
+    for (int i = 0; i < TraceHandle::lookahead + 3; ++i)
+        expectSameRecord(h.next(), ref.next());
+
+    TraceHandle copy = h;
+    TraceHandle assigned;
+    assigned = h;
+    SyntheticTraceSource ref_copy = ref;
+    SyntheticTraceSource ref_assigned = ref;
+    const int n = 3 * TraceHandle::lookahead + 5;
+    for (int i = 0; i < n; ++i)
+        expectSameRecord(copy.next(), ref_copy.next());
+    for (int i = 0; i < n; ++i)
+        expectSameRecord(assigned.next(), ref_assigned.next());
+    // The original is untouched by its copies.
+    for (int i = 0; i < n; ++i)
+        expectSameRecord(h.next(), ref.next());
 }
 
 TEST(TraceFile, RoundTrip)
