@@ -2,9 +2,10 @@
  * @file
  * The audit bundle: one object carrying the three runtime auditors
  * (DDR3 timing legality, energy conservation, Eq. 1 residual + slack
- * ledger) that the epoch runner wires into a simulation.
+ * ledger) that the EpochDriver (sim/runner.hh) wires into every
+ * System it steps: single runs and fleet nodes.
  *
- * Activation: the runner instantiates a bundle automatically when
+ * Activation: the driver instantiates a bundle automatically when
  * auditingEnabled() — i.e. the tree was configured with
  * -DCOSCALE_AUDIT=ON, or the COSCALE_AUDIT environment variable is
  * set to a truthy value ("1", "on", "true", "yes"). Tests may also

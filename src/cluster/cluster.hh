@@ -8,7 +8,7 @@
  * grant.
  *
  * Epoch structure: the cluster epoch is the synchronization quantum.
- * Each cluster epoch the driver (serially, in this order) draws the
+ * Each cluster epoch the cluster (serially, in this order) draws the
  * epoch's arrivals, routes them, computes the per-node grants, then
  * fans the N node epochs out over exp::parallelFor — each node is a
  * sealed deterministic unit, so serial and --jobs N execution produce

@@ -23,97 +23,40 @@ nodePhaseName(NodePhase p)
     return "?";
 }
 
+// No sink: the cluster layer owns tracing (nodes advance
+// concurrently).
 NodeSim::NodeSim(int node_id, const SystemConfig &cfg,
                  const std::vector<AppSpec> &apps,
                  const PolicyFactory &factory,
                  const fault::FaultPlan &faults)
-    : nodeId(node_id), sys(cfg, apps), em(sys.energyModel()),
-      policy(factory())
+    : nodeId(node_id), sys(cfg, apps), policy([&] {
+          std::unique_ptr<Policy> p = factory();
+          COSCALE_CHECK(p != nullptr,
+                        "node %d: policy factory returned null", node_id);
+          return p;
+      }()),
+      driver(sys, *policy, faults)
 {
-    COSCALE_CHECK(policy != nullptr,
-                  "node %d: policy factory returned null", node_id);
-    if (faults.enabled()) {
-        inj = std::make_unique<fault::FaultInjector>(faults,
-                                                     cfg.seed);
-    }
 }
 
 NodeEpochOutcome
 NodeSim::advanceEpoch(double granted_cap_w)
 {
-    const SystemConfig &cfg = sys.config();
+    // Policies read their cap only when they decide, so the grant
+    // can be pushed before the step.
+    if (granted_cap_w > 0.0)
+        policy->setPowerCap(granted_cap_w);
+    EpochStep st = driver.step();
+    const EnergyModel &em = driver.energyModel();
+
     NodeEpochOutcome out;
     out.grantW = granted_cap_w;
 
-    // A transition the fault layer delayed lands at this epoch
-    // boundary, exactly as in the single-machine loop. No sink: the
-    // cluster layer owns tracing (nodes advance concurrently).
-    if (inj) {
-        FreqConfig pend;
-        if (inj->takePending(&pend))
-            sys.applyConfig(pend);
-    }
-
-    Tick epoch_start = sys.now();
-    CounterSnapshot epoch_snap = sys.snapshot();
-
-    // Profiling phase under the previous configuration.
-    sys.run(epoch_start + cfg.profileLen);
-
-    const std::uint64_t fepoch = static_cast<std::uint64_t>(epochNo);
-    SystemProfile prof = policy->wantsOracleProfile()
-                             ? sys.oracleProfile(cfg.epochLen)
-                             : sys.makeProfile(epoch_snap);
-    if (inj) {
-        prof = inj->perturbProfile(prof, fepoch, sys.now(), nullptr,
-                                   nullptr);
-    }
-    FreqConfig prev_cfg = sys.currentConfig();
-    policy->setObsTick(sys.now());
-    if (granted_cap_w > 0.0)
-        policy->setPowerCap(granted_cap_w);
-    FreqConfig decision =
-        epochNo < cfg.warmupEpochs
-            ? prev_cfg
-            : policy->safeDecide(prof, em, prev_cfg, cfg.epochLen);
-    // Same hold rule as the single-machine loop: a policy that does
-    // not speak the way dimension (empty wayIdx) keeps the installed
-    // partition, so granted, the fault filter and obs.applied all see
-    // the partition the LLC keeps running.
-    if (decision.wayIdx.empty() && !prev_cfg.wayIdx.empty())
-        decision.wayIdx = prev_cfg.wayIdx;
-    FreqConfig granted =
-        inj ? inj->filterTransition(decision, prev_cfg, fepoch,
-                                    sys.now(), nullptr, nullptr)
-            : decision;
-    epochNo += 1;
-
-    // Profiling-window power, accounted before frequencies change.
-    PowerBreakdown prof_pb = sys.windowPower(epoch_snap);
-    CounterSnapshot mid_snap = sys.snapshot();
-    double prof_secs = ticksToSeconds(mid_snap.tick - epoch_snap.tick);
-
-    Tick epoch_len =
-        inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen,
-                                    fepoch, sys.now(), nullptr,
-                                    nullptr)
-            : cfg.epochLen;
-    sys.applyConfig(granted);
-    sys.run(epoch_start + epoch_len);
-
-    PowerBreakdown run_pb = sys.windowPower(mid_snap);
-    double run_secs = ticksToSeconds(sys.now() - mid_snap.tick);
-
-    EpochObservation obs;
-    obs.epochProfile = sys.makeProfile(epoch_snap);
-    obs.instrs = sys.instrsSince(epoch_snap);
-    obs.epochTicks = sys.now() - epoch_start;
-    obs.applied = granted;
-    if (sys.numApps() > sys.numCores())
-        obs.appOnCore = sys.appAssignment();
-    policy->observeEpoch(obs, em);
-
     // Epoch energy/power: time-weighted across the two windows.
+    const PowerBreakdown &prof_pb = st.profiling.power;
+    const PowerBreakdown &run_pb = st.running.power;
+    double prof_secs = st.profiling.secs;
+    double run_secs = st.running.secs;
     double secs = prof_secs + run_secs;
     out.energyJ = prof_pb.totalW() * prof_secs
                   + run_pb.totalW() * run_secs;
@@ -132,7 +75,8 @@ NodeSim::advanceEpoch(double granted_cap_w)
     // profile (clean by construction — faults only touch the profile
     // the policy reads). Non-finite predictions (fault-poisoned
     // profile reached the decision) carry the previous envelope.
-    double pred = em.systemPower(prof, granted);
+    const FreqConfig &granted = st.granted;
+    double pred = em.systemPower(st.profile, granted);
     out.predictedW = std::isfinite(pred) ? pred : out.avgPowerW;
     int n = sys.numCores();
     FreqConfig all_max = FreqConfig::allMax(n);
@@ -140,8 +84,8 @@ NodeSim::advanceEpoch(double granted_cap_w)
     all_min.coreIdx.assign(static_cast<size_t>(n),
                            em.cores().size() - 1);
     all_min.memIdx = em.mem().size() - 1;
-    double min_w = em.systemPower(obs.epochProfile, all_min);
-    double max_w = em.systemPower(obs.epochProfile, all_max);
+    double min_w = em.systemPower(st.obs.epochProfile, all_min);
+    double max_w = em.systemPower(st.obs.epochProfile, all_max);
     if (std::isfinite(min_w))
         lastMinW = min_w;
     if (std::isfinite(max_w))
@@ -152,7 +96,7 @@ NodeSim::advanceEpoch(double granted_cap_w)
                   && out.predictedW > granted_cap_w;
 
     std::uint64_t instrs = 0;
-    for (std::uint64_t v : obs.instrs)
+    for (std::uint64_t v : st.obs.instrs)
         instrs += v;
     out.instrs = instrs;
     lastInstrs = instrs;
@@ -184,6 +128,7 @@ NodeSim::beginEpoch()
             // Reboot: warm restart into the all-min configuration.
             // The workload state survives (warm reboot), but the
             // machine comes back at its power floor and ramps.
+            const EnergyModel &em = driver.energyModel();
             FreqConfig low;
             low.coreIdx.assign(
                 static_cast<size_t>(sys.numCores()),
@@ -218,6 +163,7 @@ NodeSim::crash(int down_epochs, int ramp_epochs)
     blackoutLeft = 0;
     lastInstrs = 0;
     telemetryFresh = false;
+    driver.discardPendingTransition();
 }
 
 void

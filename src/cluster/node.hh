@@ -5,15 +5,16 @@
  * an open-loop request queue served by the instructions the node
  * actually retired.
  *
- * NodeSim::advanceEpoch mirrors one iteration of the single-machine
- * epoch loop (sim/runner.cc) — profile, decide, transition, run the
- * epoch out, observe — with two cluster-specific twists: the granted
- * cap is pushed into the policy (Policy::setPowerCap) before it
- * decides, and the node runs open-ended (the workload is a compute
- * substrate, not a finite job), so there is no completion handling.
+ * NodeSim::advanceEpoch takes one step of the single-machine
+ * EpochDriver (sim/runner.hh) — the same rotation, fault seams,
+ * decision, observation and auditors as run() — with two
+ * cluster-specific twists: the granted cap is pushed into the policy
+ * (Policy::setPowerCap) before the step, and the node runs open-ended
+ * (the workload is a compute substrate, not a finite job), so there
+ * is no completion handling.
  *
  * Determinism: a node owns every bit of its state (System, policy
- * instance, fault injector) and advanceEpoch touches nothing shared,
+ * instance, epoch driver) and advanceEpoch touches nothing shared,
  * so the cluster may advance nodes on any thread in any order and the
  * per-node outcomes are bit-identical. Trace emission is deliberately
  * left to the cluster layer, which serializes it in node-index order.
@@ -168,7 +169,8 @@ class NodeSim
     /**
      * Power loss (a drawn crash/flap, or a dead-verdict fence): down
      * for @p down_epochs, then reboot into all-min and ramp for
-     * @p ramp_epochs.
+     * @p ramp_epochs. A transition the fault layer delayed is lost
+     * with the power.
      */
     void crash(int down_epochs, int ramp_epochs);
 
@@ -229,24 +231,22 @@ class NodeSim
 
     int id() const { return nodeId; }
     const System &system() const { return sys; }
-    Policy &nodePolicy() { return *policy; }
     std::uint64_t eventsDispatched() const
     {
         return sys.eventsDispatched();
     }
     fault::FaultSummary faultSummary() const
     {
+        const fault::FaultInjector *inj = driver.faults();
         return inj ? inj->summary() : fault::FaultSummary{};
     }
 
   private:
     int nodeId;
     System sys;
-    EnergyModel em;
     std::unique_ptr<Policy> policy;
-    std::unique_ptr<fault::FaultInjector> inj;
+    EpochDriver driver;
 
-    int epochNo = 0;
     std::uint64_t lastInstrs = 0;
     double lastMinW = 0.0;
     double lastMaxW = 0.0;

@@ -39,7 +39,6 @@ BaselinePool::baseline(const RunRequest &req)
             base.makePolicy = [] {
                 return std::make_unique<BaselinePolicy>();
             };
-            base.forceAudit = req.forceAudit;
             prom->set_value(coscale::run(base));
         } catch (...) {
             prom->set_exception(std::current_exception());

@@ -198,8 +198,9 @@ class Policy
 
     /**
      * Attach a per-run trace sink and metrics registry (either may be
-     * null). Called by the runner before the epoch loop and detached
-     * after it; policies emit search telemetry through traceSearch().
+     * null). Attached by the EpochDriver that steps the policy and
+     * detached when it is destroyed; policies emit search telemetry
+     * through traceSearch().
      */
     void
     attachObs(TraceSink *sink, MetricsRegistry *metrics)

@@ -14,36 +14,13 @@ namespace coscale {
 
 namespace {
 
-/**
- * Accumulate the energy of the window since @p since, clipped at the
- * workload's completion tick if it fell inside the window. The energy
- * auditor, when attached, shadows the same integral.
- */
+/** Add one window's energy to the run totals. */
 void
-accumulateEnergy(const System &sys, const CounterSnapshot &since,
-                 RunResult &result, PowerBreakdown *avg_out = nullptr,
-                 EnergyAuditor *ea = nullptr)
+addEnergy(RunResult &result, const EpochWindow &w)
 {
-    Tick end = sys.now();
-    if (end <= since.tick)
-        return;
-    PowerBreakdown pb = sys.windowPower(since);
-    if (avg_out)
-        *avg_out = pb;
-
-    Tick effective_end = end;
-    if (sys.allAppsDone())
-        effective_end = std::min(end, sys.lastCompletionTick());
-    if (effective_end <= since.tick)
-        return;
-    double secs = ticksToSeconds(effective_end - since.tick);
-    result.cpuEnergyJ += pb.cpuW * secs;
-    result.memEnergyJ += pb.memW * secs;
-    result.otherEnergyJ += pb.otherW * secs;
-    if (ea) {
-        ea->checkConservation(pb.totalW(), pb.cpuW, pb.memW, pb.otherW);
-        ea->onWindowEnergy(pb.cpuW, pb.memW, pb.otherW, secs);
-    }
+    result.cpuEnergyJ += w.power.cpuW * w.secs;
+    result.memEnergyJ += w.power.memW * w.secs;
+    result.otherEnergyJ += w.power.otherW * w.secs;
 }
 
 /**
@@ -106,320 +83,165 @@ traceDramWindow(const System &sys, const SystemConfig &cfg,
     }
 }
 
-/**
- * The epoch loop shared by every entry path: profile, decide,
- * transition, run the epoch out, update slack — with optional
- * per-epoch tracing and metrics (both null when observability is off;
- * the hot path then pays a handful of pointer tests).
- *
- * Fault injection (@p inj, null for clean runs) perturbs the loop at
- * its three runtime seams: the profiling snapshot the policy reads,
- * the requested-vs-granted DVFS transition, and the epoch timer. The
- * loop applies and accounts the *granted* configuration throughout —
- * EpochLog, slack observation, traces, and energy all follow what the
- * (faulty) hardware actually did, not what the policy asked for.
- *
- * Cooperative cancellation (@p cancel, null normally): the engine's
- * watchdog sets the flag and the loop aborts at the next epoch
- * boundary by throwing.
- */
-RunResult
-runEpochLoop(const SystemConfig &cfg, const std::string &label,
-             const std::vector<AppSpec> &apps, Policy &policy,
-             AuditSet *audit, bool force_audit, TraceSink *sink,
-             MetricsRegistry *metrics, fault::FaultInjector *inj,
-             const std::atomic<bool> *cancel)
-{
-    System sys(cfg, apps);
-    EnergyModel em = sys.energyModel();
+} // namespace
 
+EpochDriver::EpochDriver(System &sys, Policy &policy,
+                         const fault::FaultPlan &faults, AuditSet *audit,
+                         TraceSink *sink, MetricsRegistry *metrics)
+    : sys(sys), policy(policy), em(sys.energyModel()), auditSet(audit),
+      sink(sink), metrics(metrics)
+{
+    // A disabled plan builds no injector and leaves the step untouched.
+    // The injector seeds from the plan, falling back to the System's
+    // seed, so faults stay a pure function of the configuration.
+    if (faults.enabled())
+        inj = std::make_unique<fault::FaultInjector>(faults,
+                                                     sys.config().seed);
     // Auto-instantiate the auditors when auditing is on by default
     // (COSCALE_AUDIT build, or COSCALE_AUDIT=1 in the environment).
-    std::unique_ptr<AuditSet> local_audit;
-    if (!audit && (force_audit || auditingEnabled())) {
-        local_audit = std::make_unique<AuditSet>(sys.numApps(),
-                                                 policy.slackGamma());
-        audit = local_audit.get();
+    if (!auditSet && auditingEnabled()) {
+        ownedAudit = std::make_unique<AuditSet>(sys.numApps(),
+                                                policy.slackGamma());
+        auditSet = ownedAudit.get();
     }
-    EnergyAuditor *ea = audit ? &audit->energy : nullptr;
-    if (audit)
-        sys.attachDramAuditor(&audit->dram);
-
-    RunResult result;
-    result.mixName = label;
-    result.policyName = policy.name();
-
-    const bool tracing = sink != nullptr || metrics != nullptr;
+    if (auditSet)
+        sys.attachDramAuditor(&auditSet->dram);
     policy.attachObs(sink, metrics);
-
-    int epoch_no = 0;
-    while (!sys.allAppsDone()) {
-        if (cancel && cancel->load(std::memory_order_relaxed)) {
-            throw std::runtime_error(
-                "run '" + label + "' cancelled at epoch "
-                + std::to_string(epoch_no) + " (engine watchdog)");
-        }
-        // Context-switch rotation at scheduling-quantum boundaries
-        // (before profiling, so the profile reflects the incoming
-        // threads).
-        if (cfg.schedQuantumEpochs > 0 && epoch_no > 0
-            && epoch_no % cfg.schedQuantumEpochs == 0) {
-            sys.rotateApps();
-        }
-        // A transition the fault layer delayed lands at this epoch
-        // boundary: the profiling phase below runs under it.
-        if (inj) {
-            FreqConfig pend;
-            if (inj->takePending(&pend)) {
-                sys.applyConfig(pend);
-                if (sink) {
-                    sink->write(
-                        TraceEvent(sys.now(), "fault",
-                                   "transition_late")
-                            .f("epoch",
-                               static_cast<std::uint64_t>(epoch_no))
-                            .f("mem_idx", pend.memIdx)
-                            .f("core_idx", pend.coreIdx));
-                }
-            }
-        }
-        Tick epoch_start = sys.now();
-        CounterSnapshot epoch_snap = sys.snapshot();
-
-        // Epoch-delta anchors: traced per-epoch energy is the exact
-        // difference of the run totals, so traced epochs sum to the
-        // RunResult to the last bit.
-        double cpu_j0 = result.cpuEnergyJ;
-        double mem_j0 = result.memEnergyJ;
-        double other_j0 = result.otherEnergyJ;
-
-        // Profiling phase (runs under the previous configuration).
-        sys.run(epoch_start + cfg.profileLen);
-        if (sys.allAppsDone()) {
-            accumulateEnergy(sys, epoch_snap, result, nullptr, ea);
-            if (tracing) {
-                CounterSnapshot end_snap = sys.snapshot();
-                if (sink) {
-                    sink->write(
-                        TraceEvent(sys.now(), "epoch", "tail")
-                            .f("start",
-                               static_cast<std::uint64_t>(epoch_start))
-                            .f("cpu_j", result.cpuEnergyJ - cpu_j0)
-                            .f("mem_j", result.memEnergyJ - mem_j0)
-                            .f("other_j",
-                               result.otherEnergyJ - other_j0));
-                }
-                traceDramWindow(sys, cfg, epoch_snap, end_snap, sink,
-                                metrics);
-            }
-            break;
-        }
-
-        const std::uint64_t fepoch =
-            static_cast<std::uint64_t>(epoch_no);
-        SystemProfile prof = policy.wantsOracleProfile()
-                                 ? sys.oracleProfile(cfg.epochLen)
-                                 : sys.makeProfile(epoch_snap);
-        if (inj) {
-            prof = inj->perturbProfile(prof, fepoch, sys.now(), sink,
-                                       metrics);
-        }
-        FreqConfig prev_cfg = sys.currentConfig();
-        policy.setObsTick(sys.now());
-        FreqConfig decision =
-            epoch_no < cfg.warmupEpochs
-                ? prev_cfg
-                : policy.safeDecide(prof, em, prev_cfg, cfg.epochLen);
-        // A policy that does not speak the way dimension (empty
-        // wayIdx) holds the installed partition rather than dropping
-        // it — the knob is "held", never implicitly reset.
-        if (decision.wayIdx.empty() && !prev_cfg.wayIdx.empty())
-            decision.wayIdx = prev_cfg.wayIdx;
-        // Requested vs granted: the fault layer may deny, delay, or
-        // clamp the transition. Everything downstream — applyConfig,
-        // the epoch log, slack observation, energy — follows granted.
-        FreqConfig granted =
-            inj ? inj->filterTransition(decision, prev_cfg, fepoch,
-                                        sys.now(), sink, metrics)
-                : decision;
-        epoch_no += 1;
-
-        // Account the profiling segment before frequencies change.
-        accumulateEnergy(sys, epoch_snap, result, nullptr, ea);
-        CounterSnapshot mid_snap = sys.snapshot();
-
-        Tick epoch_len =
-            inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen,
-                                        fepoch, sys.now(), sink,
-                                        metrics)
-                : cfg.epochLen;
-        sys.applyConfig(granted);
-        sys.run(epoch_start + epoch_len);
-
-        EpochLog log;
-        log.startTick = epoch_start;
-        log.applied = granted;
-        accumulateEnergy(sys, mid_snap, result, &log.avgPower, ea);
-        result.epochs.push_back(std::move(log));
-
-        EpochObservation obs;
-        obs.epochProfile = sys.makeProfile(epoch_snap);
-        obs.instrs = sys.instrsSince(epoch_snap);
-        obs.epochTicks = sys.now() - epoch_start;
-        obs.applied = granted;
-        if (sys.numApps() > sys.numCores())
-            obs.appOnCore = sys.appAssignment();
-        policy.observeEpoch(obs, em);
-
-        if (tracing) {
-            CounterSnapshot end_snap = sys.snapshot();
-            std::uint64_t epoch_idx = result.epochs.size() - 1;
-            std::uint64_t instrs = 0;
-            for (std::uint64_t v : obs.instrs)
-                instrs += v;
-
-            int core_changes = 0;
-            size_t nc = std::min(granted.coreIdx.size(),
-                                 prev_cfg.coreIdx.size());
-            for (size_t i = 0; i < nc; ++i) {
-                if (granted.coreIdx[i] != prev_cfg.coreIdx[i])
-                    core_changes += 1;
-            }
-            bool mem_changed =
-                granted.memIdx != prev_cfg.memIdx
-                || granted.chanIdx != prev_cfg.chanIdx;
-
-            const PowerBreakdown &pw = result.epochs.back().avgPower;
-            if (metrics) {
-                metrics->counter("run.epochs").inc();
-                metrics->counter("run.core_freq_changes")
-                    .inc(static_cast<std::uint64_t>(core_changes));
-                if (mem_changed)
-                    metrics->counter("run.mem_freq_changes").inc();
-                metrics->accum("epoch.total_w").sample(pw.totalW());
-                metrics->accum("epoch.cpu_w").sample(pw.cpuW);
-                metrics->accum("epoch.mem_w").sample(pw.memW);
-            }
-            if (sink) {
-                double act_secs = ticksToSeconds(obs.epochTicks);
-                std::vector<double> pred_tpi;
-                std::vector<double> act_tpi;
-                pred_tpi.reserve(static_cast<size_t>(sys.numCores()));
-                act_tpi.reserve(static_cast<size_t>(sys.numCores()));
-                for (int i = 0; i < sys.numCores(); ++i) {
-                    pred_tpi.push_back(em.tpi(prof, i, granted));
-                    std::uint64_t n_i =
-                        obs.instrs[static_cast<size_t>(i)];
-                    act_tpi.push_back(
-                        n_i ? act_secs / static_cast<double>(n_i)
-                            : 0.0);
-                }
-                TraceEvent ev(sys.now(), "epoch", "epoch");
-                ev.f("epoch", epoch_idx)
-                    .f("start",
-                       static_cast<std::uint64_t>(epoch_start))
-                    .f("mem_idx", granted.memIdx)
-                    .f("mem_mhz",
-                       em.mem().freq(granted.memIdx) / 1e6)
-                    .f("core_idx", granted.coreIdx)
-                    .f("cpu_w", pw.cpuW)
-                    .f("mem_w", pw.memW)
-                    .f("other_w", pw.otherW)
-                    .f("cpu_j", result.cpuEnergyJ - cpu_j0)
-                    .f("mem_j", result.memEnergyJ - mem_j0)
-                    .f("other_j", result.otherEnergyJ - other_j0)
-                    .f("instrs", instrs)
-                    .f("pred_tpi", pred_tpi)
-                    .f("act_tpi", act_tpi);
-                if (!granted.chanIdx.empty())
-                    ev.f("chan_idx", granted.chanIdx);
-                if (!granted.wayIdx.empty())
-                    ev.f("way_idx", granted.wayIdx);
-                if (const SlackTracker *ledger = policy.slackLedger()) {
-                    std::vector<double> slack;
-                    slack.reserve(
-                        static_cast<size_t>(ledger->size()));
-                    for (int a = 0; a < ledger->size(); ++a)
-                        slack.push_back(ledger->slackSecs(a));
-                    ev.f("slack_secs", slack);
-                }
-                sink->write(ev);
-            }
-            traceDramWindow(sys, cfg, epoch_snap, end_snap, sink,
-                            metrics);
-        }
-
-        if (audit) {
-            // Cross-check the decision the policy just took (Eq. 2/3
-            // decomposition and SER fast path) and the Eq. 1 residual
-            // of the epoch that just ran. A counter dropout poisons
-            // the profile with NaN by design — the audit contract
-            // assumes finite inputs, so the candidate check is
-            // skipped for those epochs (the guarded policy held its
-            // frequencies anyway).
-            if (!inj || fault::profileFinite(prof))
-                audit->energy.auditCandidate(em, prof, granted);
-            audit->perf.onEpoch(obs, em);
-        }
-    }
-
-    if (audit) {
-        audit->energy.auditRunTotals(result.cpuEnergyJ,
-                                     result.memEnergyJ,
-                                     result.otherEnergyJ);
-        sys.attachDramAuditor(nullptr);
-    }
-
-    result.finishTick = sys.lastCompletionTick();
-    result.appCompletion = sys.appCompletionTicks();
-
-    std::uint64_t instrs = 0;
-    for (int i = 0; i < sys.numCores(); ++i)
-        instrs += sys.core(i).counters().tic;
-    result.totalInstrs = instrs;
-
-    const LlcCounters &llc = sys.llc().counters();
-    if (instrs > 0) {
-        result.measuredMpki = 1000.0 * static_cast<double>(llc.misses)
-                              / static_cast<double>(instrs);
-        result.measuredWpki =
-            1000.0 * static_cast<double>(llc.writebacks)
-            / static_cast<double>(instrs);
-    }
-    result.prefetchAccuracy = sys.llc().prefetchAccuracy();
-
-    ChannelCounters mem = sys.memCtrl().totalCounters();
-    result.dramReads = mem.readReqs;
-    result.dramPrefetches = mem.prefetchReqs;
-    result.dramWrites = mem.writeReqs;
-
-    policy.attachObs(nullptr, nullptr);
-    if (metrics) {
-        metrics->counter("run.instructions").inc(result.totalInstrs);
-        metrics->gauge("run.finish_secs")
-            .set(ticksToSeconds(result.finishTick));
-        metrics->gauge("run.energy_j").set(result.totalEnergyJ());
-        metrics->gauge("run.energy_per_instr_nj")
-            .set(result.energyPerInstrNj());
-    }
-    if (sink) {
-        sink->write(TraceEvent(sys.now(), "run", "summary")
-                        .f("mix", result.mixName)
-                        .f("policy", result.policyName)
-                        .f("finish_secs",
-                           ticksToSeconds(result.finishTick))
-                        .f("cpu_j", result.cpuEnergyJ)
-                        .f("mem_j", result.memEnergyJ)
-                        .f("other_j", result.otherEnergyJ)
-                        .f("instrs", result.totalInstrs)
-                        .f("epochs",
-                           static_cast<std::uint64_t>(
-                               result.epochs.size())));
-    }
-    return result;
 }
 
-} // namespace
+EpochDriver::~EpochDriver()
+{
+    policy.attachObs(nullptr, nullptr);
+    if (auditSet)
+        sys.attachDramAuditor(nullptr);
+}
+
+EpochWindow
+EpochDriver::window(const CounterSnapshot &since)
+{
+    EpochWindow w;
+    Tick end = sys.now();
+    if (end <= since.tick)
+        return w;
+    w.power = sys.windowPower(since);
+
+    if (sys.allAppsDone())
+        end = std::min(end, sys.lastCompletionTick());
+    if (end <= since.tick)
+        return w;
+    w.secs = ticksToSeconds(end - since.tick);
+    if (auditSet) {
+        auditSet->energy.checkConservation(w.power.totalW(), w.power.cpuW,
+                                           w.power.memW, w.power.otherW);
+        auditSet->energy.onWindowEnergy(w.power.cpuW, w.power.memW,
+                                        w.power.otherW, w.secs);
+    }
+    return w;
+}
+
+EpochStep
+EpochDriver::step()
+{
+    const SystemConfig &cfg = sys.config();
+    EpochStep s;
+
+    // Context-switch rotation at scheduling-quantum boundaries (before
+    // profiling, so the profile reflects the incoming threads).
+    if (cfg.schedQuantumEpochs > 0 && epochNo > 0
+        && epochNo % cfg.schedQuantumEpochs == 0) {
+        sys.rotateApps();
+    }
+    const std::uint64_t fepoch = static_cast<std::uint64_t>(epochNo);
+    // A transition the fault layer delayed lands at this epoch
+    // boundary: the profiling phase below runs under it.
+    FreqConfig pend;
+    if (inj && inj->takePending(&pend)) {
+        sys.applyConfig(pend);
+        if (sink) {
+            sink->write(TraceEvent(sys.now(), "fault", "transition_late")
+                            .f("epoch", fepoch)
+                            .f("mem_idx", pend.memIdx)
+                            .f("core_idx", pend.coreIdx));
+        }
+    }
+    s.start = sys.now();
+    s.snap = sys.snapshot();
+
+    // Profiling phase under the installed configuration. Its power is
+    // read before anything is applied: windowPower prices the window
+    // at the installed ladder indices.
+    sys.run(s.start + cfg.profileLen);
+    s.profiling = window(s.snap);
+    if (sys.allAppsDone()) {
+        s.finished = true;
+        return s;
+    }
+
+    s.profile = policy.wantsOracleProfile()
+                    ? sys.oracleProfile(cfg.epochLen)
+                    : sys.makeProfile(s.snap);
+    if (inj) {
+        s.profile = inj->perturbProfile(s.profile, fepoch, sys.now(),
+                                        sink, metrics);
+    }
+    s.prev = sys.currentConfig();
+    policy.setObsTick(sys.now());
+    FreqConfig decision =
+        epochNo < cfg.warmupEpochs
+            ? s.prev
+            : policy.safeDecide(s.profile, em, s.prev, cfg.epochLen);
+    // A policy that does not speak the way dimension (empty wayIdx)
+    // holds the installed partition rather than dropping it — the
+    // knob is "held", never implicitly reset.
+    if (decision.wayIdx.empty() && !s.prev.wayIdx.empty())
+        decision.wayIdx = s.prev.wayIdx;
+    // Requested vs granted: the fault layer may deny, delay, or clamp
+    // the transition. Everything downstream — applyConfig, the epoch
+    // log, slack observation, energy — follows granted.
+    s.granted = inj ? inj->filterTransition(decision, s.prev, fepoch,
+                                            sys.now(), sink, metrics)
+                    : decision;
+    epochNo += 1;
+
+    CounterSnapshot mid_snap = sys.snapshot();
+    Tick epoch_len =
+        inj ? inj->jitteredEpochLen(cfg.epochLen, cfg.profileLen, fepoch,
+                                    sys.now(), sink, metrics)
+            : cfg.epochLen;
+    sys.applyConfig(s.granted);
+    sys.run(s.start + epoch_len);
+    s.running = window(mid_snap);
+
+    EpochObservation &obs = s.obs;
+    obs.epochProfile = sys.makeProfile(s.snap);
+    obs.instrs = sys.instrsSince(s.snap);
+    obs.epochTicks = sys.now() - s.start;
+    obs.applied = s.granted;
+    if (sys.numApps() > sys.numCores())
+        obs.appOnCore = sys.appAssignment();
+    policy.observeEpoch(obs, em);
+
+    if (auditSet) {
+        // Cross-check the decision the policy just took (Eq. 2/3
+        // decomposition and SER fast path) and the Eq. 1 residual of
+        // the epoch that just ran. A counter dropout poisons the
+        // profile with NaN by design — the audit contract assumes
+        // finite inputs, so the candidate check is skipped for those
+        // epochs (the guarded policy held its frequencies anyway).
+        if (!inj || fault::profileFinite(s.profile))
+            auditSet->energy.auditCandidate(em, s.profile, s.granted);
+        auditSet->perf.onEpoch(obs, em);
+    }
+    return s;
+}
+
+void
+EpochDriver::discardPendingTransition()
+{
+    FreqConfig dropped;
+    if (inj)
+        inj->takePending(&dropped);
+}
 
 RunRequest
 RunRequest::forMix(const SystemConfig &cfg, const WorkloadMix &mix)
@@ -477,23 +299,179 @@ run(const RunRequest &req)
     if (req.wantMetrics)
         metrics = std::make_shared<MetricsRegistry>();
 
-    // Fault injection: the injector exists only for runs that asked
-    // for it; a disabled plan leaves the epoch loop untouched. The
-    // injector seeds from the plan, falling back to the effective
-    // config seed, so faults stay a pure function of the request.
-    SystemConfig cfg = req.effectiveConfig();
-    std::unique_ptr<fault::FaultInjector> inj;
-    if (req.faults.enabled())
-        inj = std::make_unique<fault::FaultInjector>(req.faults,
-                                                     cfg.seed);
+    const SystemConfig cfg = req.effectiveConfig();
+    System sys(cfg, req.apps);
+    EpochDriver driver(sys, *policy, req.faults, req.auditSet, sink,
+                       metrics.get());
+    const EnergyModel &em = driver.energyModel();
 
-    RunResult result =
-        runEpochLoop(cfg, req.label, req.apps, *policy, req.auditSet,
-                     req.forceAudit, sink, metrics.get(), inj.get(),
-                     req.cancelFlag);
-    if (inj) {
+    RunResult result;
+    result.mixName = req.label;
+    result.policyName = policy->name();
+
+    const bool tracing = sink != nullptr || metrics != nullptr;
+    while (!sys.allAppsDone()) {
+        if (req.cancelFlag
+            && req.cancelFlag->load(std::memory_order_relaxed)) {
+            throw std::runtime_error(
+                "run '" + req.label + "' cancelled at epoch "
+                + std::to_string(result.epochs.size())
+                + " (engine watchdog)");
+        }
+        // Epoch-delta anchors: traced per-epoch energy is the exact
+        // difference of the run totals, so traced epochs sum to the
+        // RunResult to the last bit.
+        double cpu_j0 = result.cpuEnergyJ;
+        double mem_j0 = result.memEnergyJ;
+        double other_j0 = result.otherEnergyJ;
+
+        EpochStep st = driver.step();
+        addEnergy(result, st.profiling);
+        if (!st.finished) {
+            addEnergy(result, st.running);
+            result.epochs.push_back(
+                EpochLog{st.start, st.granted, st.running.power});
+        }
+        if (!tracing)
+            continue;
+        if (st.finished && sink) {
+            sink->write(TraceEvent(sys.now(), "epoch", "tail")
+                            .f("start", static_cast<std::uint64_t>(st.start))
+                            .f("cpu_j", result.cpuEnergyJ - cpu_j0)
+                            .f("mem_j", result.memEnergyJ - mem_j0)
+                            .f("other_j", result.otherEnergyJ - other_j0));
+        } else if (!st.finished) {
+            const FreqConfig &granted = st.granted;
+            const FreqConfig &prev_cfg = st.prev;
+            const EpochObservation &obs = st.obs;
+            std::uint64_t epoch_idx = result.epochs.size() - 1;
+            std::uint64_t instrs = 0;
+            for (std::uint64_t v : obs.instrs)
+                instrs += v;
+
+            int core_changes = 0;
+            size_t nc = std::min(granted.coreIdx.size(),
+                                 prev_cfg.coreIdx.size());
+            for (size_t i = 0; i < nc; ++i) {
+                if (granted.coreIdx[i] != prev_cfg.coreIdx[i])
+                    core_changes += 1;
+            }
+            bool mem_changed =
+                granted.memIdx != prev_cfg.memIdx
+                || granted.chanIdx != prev_cfg.chanIdx;
+
+            const PowerBreakdown &pw = st.running.power;
+            if (metrics) {
+                metrics->counter("run.epochs").inc();
+                metrics->counter("run.core_freq_changes")
+                    .inc(static_cast<std::uint64_t>(core_changes));
+                if (mem_changed)
+                    metrics->counter("run.mem_freq_changes").inc();
+                metrics->accum("epoch.total_w").sample(pw.totalW());
+                metrics->accum("epoch.cpu_w").sample(pw.cpuW);
+                metrics->accum("epoch.mem_w").sample(pw.memW);
+            }
+            if (sink) {
+                double act_secs = ticksToSeconds(obs.epochTicks);
+                std::vector<double> pred_tpi;
+                std::vector<double> act_tpi;
+                pred_tpi.reserve(static_cast<size_t>(sys.numCores()));
+                act_tpi.reserve(static_cast<size_t>(sys.numCores()));
+                for (int i = 0; i < sys.numCores(); ++i) {
+                    pred_tpi.push_back(em.tpi(st.profile, i, granted));
+                    std::uint64_t n_i =
+                        obs.instrs[static_cast<size_t>(i)];
+                    act_tpi.push_back(
+                        n_i ? act_secs / static_cast<double>(n_i)
+                            : 0.0);
+                }
+                TraceEvent ev(sys.now(), "epoch", "epoch");
+                ev.f("epoch", epoch_idx)
+                    .f("start", static_cast<std::uint64_t>(st.start))
+                    .f("mem_idx", granted.memIdx)
+                    .f("mem_mhz", em.mem().freq(granted.memIdx) / 1e6)
+                    .f("core_idx", granted.coreIdx)
+                    .f("cpu_w", pw.cpuW)
+                    .f("mem_w", pw.memW)
+                    .f("other_w", pw.otherW)
+                    .f("cpu_j", result.cpuEnergyJ - cpu_j0)
+                    .f("mem_j", result.memEnergyJ - mem_j0)
+                    .f("other_j", result.otherEnergyJ - other_j0)
+                    .f("instrs", instrs)
+                    .f("pred_tpi", pred_tpi)
+                    .f("act_tpi", act_tpi);
+                if (!granted.chanIdx.empty())
+                    ev.f("chan_idx", granted.chanIdx);
+                if (!granted.wayIdx.empty())
+                    ev.f("way_idx", granted.wayIdx);
+                if (const SlackTracker *ledger = policy->slackLedger()) {
+                    std::vector<double> slack;
+                    slack.reserve(static_cast<size_t>(ledger->size()));
+                    for (int a = 0; a < ledger->size(); ++a)
+                        slack.push_back(ledger->slackSecs(a));
+                    ev.f("slack_secs", slack);
+                }
+                sink->write(ev);
+            }
+        }
+        traceDramWindow(sys, cfg, st.snap, sys.snapshot(), sink,
+                        metrics.get());
+    }
+
+    if (AuditSet *audit = driver.audits()) {
+        audit->energy.auditRunTotals(result.cpuEnergyJ,
+                                     result.memEnergyJ,
+                                     result.otherEnergyJ);
+    }
+    if (const fault::FaultInjector *inj = driver.faults()) {
         result.faultsEnabled = true;
         result.faults = inj->summary();
+    }
+
+    result.finishTick = sys.lastCompletionTick();
+    result.appCompletion = sys.appCompletionTicks();
+
+    std::uint64_t instrs = 0;
+    for (int i = 0; i < sys.numCores(); ++i)
+        instrs += sys.core(i).counters().tic;
+    result.totalInstrs = instrs;
+
+    const LlcCounters &llc = sys.llc().counters();
+    if (instrs > 0) {
+        result.measuredMpki = 1000.0 * static_cast<double>(llc.misses)
+                              / static_cast<double>(instrs);
+        result.measuredWpki =
+            1000.0 * static_cast<double>(llc.writebacks)
+            / static_cast<double>(instrs);
+    }
+    result.prefetchAccuracy = sys.llc().prefetchAccuracy();
+
+    ChannelCounters mem = sys.memCtrl().totalCounters();
+    result.dramReads = mem.readReqs;
+    result.dramPrefetches = mem.prefetchReqs;
+    result.dramWrites = mem.writeReqs;
+
+    if (metrics) {
+        metrics->counter("run.instructions").inc(result.totalInstrs);
+        metrics->gauge("run.finish_secs")
+            .set(ticksToSeconds(result.finishTick));
+        metrics->gauge("run.energy_j").set(result.totalEnergyJ());
+        metrics->gauge("run.energy_per_instr_nj")
+            .set(result.energyPerInstrNj());
+    }
+    if (sink) {
+        sink->write(TraceEvent(sys.now(), "run", "summary")
+                        .f("mix", result.mixName)
+                        .f("policy", result.policyName)
+                        .f("finish_secs",
+                           ticksToSeconds(result.finishTick))
+                        .f("cpu_j", result.cpuEnergyJ)
+                        .f("mem_j", result.memEnergyJ)
+                        .f("other_j", result.otherEnergyJ)
+                        .f("instrs", result.totalInstrs)
+                        .f("epochs",
+                           static_cast<std::uint64_t>(
+                               result.epochs.size())));
     }
     if (owned_sink)
         owned_sink->finish();

@@ -5,6 +5,9 @@
  * frequencies, transition, run the epoch out, then update the
  * policy's slack from whole-epoch counters.
  *
+ * EpochDriver takes that step: run() until the workload completes,
+ * and every cluster node (cluster/node.hh) once per cluster epoch.
+ *
  * Also provides the result records and baseline-relative comparison
  * helpers every benchmark harness uses.
  */
@@ -19,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "fault/fault_injector.hh"
 #include "fault/fault_plan.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
@@ -154,12 +158,6 @@ struct RunRequest
     /** Non-zero overrides cfg.seed (deterministic per-request seeding). */
     std::uint64_t seed = 0;
 
-    /**
-     * Force-attach a private AuditSet even when the build/environment
-     * default (auditingEnabled()) is off.
-     */
-    bool forceAudit = false;
-
     /** External auditors to observe the run (tests). */
     AuditSet *auditSet = nullptr;
 
@@ -190,11 +188,11 @@ struct RunRequest
 
     /**
      * Deterministic fault injection (fault/fault_plan.hh). A
-     * default-constructed (disabled) plan costs nothing: the runner
-     * never instantiates an injector and the epoch loop is untouched
-     * byte-for-byte. Faulted runs keep the determinism contract —
-     * every fault decision is a pure function of (plan, effective
-     * seed, epoch), never of execution order.
+     * default-constructed (disabled) plan costs nothing: the
+     * EpochDriver never instantiates an injector and the epoch step
+     * is untouched byte-for-byte. Faulted runs keep the determinism
+     * contract — every fault decision is a pure function of (plan,
+     * effective seed, epoch), never of execution order.
      */
     fault::FaultPlan faults;
 
@@ -245,13 +243,6 @@ struct RunRequest
     }
 
     RunRequest &
-    withForcedAudit(bool on = true)
-    {
-        forceAudit = on;
-        return *this;
-    }
-
-    RunRequest &
     withBaseline(bool on = true)
     {
         wantBaseline = on;
@@ -289,14 +280,6 @@ struct RunRequest
         return *this;
     }
 
-    /** Arm cooperative cancellation (engine watchdog; chainable). */
-    RunRequest &
-    withCancelFlag(const std::atomic<bool> *flag)
-    {
-        cancelFlag = flag;
-        return *this;
-    }
-
     /** cfg with the per-request seed override applied. */
     SystemConfig
     effectiveConfig() const
@@ -306,6 +289,86 @@ struct RunRequest
             c.seed = seed;
         return c;
     }
+};
+
+/** An epoch window's average power and its length, clipped at the
+ *  workload's last completion. An empty window reads zero. */
+struct EpochWindow
+{
+    PowerBreakdown power;
+    double secs = 0.0;
+};
+
+/** What one EpochDriver::step did. */
+struct EpochStep
+{
+    /**
+     * Every application finished while profiling. Nothing after the
+     * profiling window ran: only start, snap and profiling are set.
+     */
+    bool finished = false;
+
+    Tick start = 0;
+    CounterSnapshot snap;  //!< counters at the epoch's start
+    EpochWindow profiling; //!< under the previous configuration
+    EpochWindow running;   //!< under the granted configuration
+
+    SystemProfile profile; //!< what the policy read, after faults
+    FreqConfig prev;       //!< installed when the policy decided
+    FreqConfig granted;    //!< what the fault layer let through
+    EpochObservation obs;  //!< what the policy observed
+};
+
+/**
+ * The controller's epoch step on one System: rotate threads at a
+ * quantum boundary, land a fault-delayed transition, profile, decide,
+ * filter requested into granted, apply, run the epoch out, observe,
+ * audit. The driver owns the run's fault injector, built from
+ * @p faults and the System's seed, and — when @p audit is null and
+ * auditingEnabled() holds — a private AuditSet. The policy's trace
+ * sink and metrics and the DRAM auditor stay attached while the
+ * driver lives, so the System and the policy must outlive it.
+ */
+class EpochDriver
+{
+  public:
+    EpochDriver(System &sys, Policy &policy,
+                const fault::FaultPlan &faults,
+                AuditSet *audit = nullptr, TraceSink *sink = nullptr,
+                MetricsRegistry *metrics = nullptr);
+    ~EpochDriver();
+
+    EpochDriver(const EpochDriver &) = delete;
+    EpochDriver &operator=(const EpochDriver &) = delete;
+
+    EpochStep step();
+
+    /**
+     * Drop a transition the fault layer delayed and has not landed
+     * yet (a crashed node reboots into a configuration of its own).
+     */
+    void discardPendingTransition();
+
+    /** The auditors observing this run, or null. */
+    AuditSet *audits() const { return auditSet; }
+
+    /** The fault injector, or null for a clean run. */
+    const fault::FaultInjector *faults() const { return inj.get(); }
+
+    const EnergyModel &energyModel() const { return em; }
+
+  private:
+    EpochWindow window(const CounterSnapshot &since);
+
+    System &sys;
+    Policy &policy;
+    EnergyModel em;
+    std::unique_ptr<fault::FaultInjector> inj;
+    std::unique_ptr<AuditSet> ownedAudit;
+    AuditSet *auditSet;
+    TraceSink *sink;
+    MetricsRegistry *metrics;
+    int epochNo = 0;
 };
 
 /**
@@ -319,8 +382,8 @@ struct RunRequest
  * (check/audit.hh) observe the whole run — the DRAM timing auditor is
  * attached to every memory channel and the energy/perf auditors see
  * each epoch. When it is null and auditing is enabled (COSCALE_AUDIT
- * build or environment, or req.forceAudit), a private AuditSet is
- * created and wired automatically.
+ * build or environment), the EpochDriver creates and wires a private
+ * AuditSet.
  *
  * Observability wiring: when the request names a trace sink (path or
  * borrowed) the epoch loop emits one "epoch" event per epoch (applied

@@ -12,6 +12,9 @@
  *  - exp::parallelFor execution semantics (every index runs exactly
  *    once, failures don't abort the pool, lowest failing index wins),
  *  - FastCapPolicy cap/fairness behaviour on a synthetic profile,
+ *  - NodeSim on the shared EpochDriver: a node takes run()'s epochs
+ *    (rotation included), a reboot drops a fault-delayed transition,
+ *    and the driver's auditors observe (and can fail) a capped node,
  *  - ClusterSim properties: the global cap is never exceeded at any
  *    cluster epoch, per-node grants sum under the budget, queue
  *    accounting balances, and a 32-node run is byte-identical between
@@ -31,12 +34,14 @@
 #include <string>
 #include <vector>
 
+#include "check/audit.hh"
 #include "cluster/allocator.hh"
 #include "cluster/arrival.hh"
 #include "cluster/cluster.hh"
 #include "cluster/node.hh"
 #include "exp/engine.hh"
 #include "obs/trace_sink.hh"
+#include "policy/coscale_policy.hh"
 #include "policy/fastcap.hh"
 #include "policy/power_cap.hh"
 #include "workloads/spec_catalogue.hh"
@@ -927,6 +932,127 @@ TEST(NodeSim, WaylessPolicyHoldsTheInstalledPartition)
         EXPECT_EQ(applied.chanIdx, running.chanIdx);
         EXPECT_EQ(applied.wayIdx, running.wayIdx);
     }
+}
+
+/**
+ * Asks for all-max every epoch and records the configuration it
+ * profiled under.
+ */
+class AllMaxSpyPolicy final : public Policy
+{
+  public:
+    explicit AllMaxSpyPolicy(FreqConfig *profiled) : profiled(profiled) {}
+
+    std::string name() const override { return "all-max-spy"; }
+
+    FreqConfig
+    decide(const SystemProfile &, const EnergyModel &,
+           const FreqConfig &current, Tick) override
+    {
+        *profiled = current;
+        return FreqConfig::allMax(static_cast<int>(current.coreIdx.size()));
+    }
+
+    void observeEpoch(const EpochObservation &, const EnergyModel &) override
+    {
+    }
+
+  private:
+    FreqConfig *profiled;
+};
+
+TEST(NodeSim, RebootDiscardsADelayedTransition)
+{
+    // DESIGN.md §12: a crashed node reboots into all-min. A transition
+    // the fault layer delayed before the crash must not land after it.
+    SystemConfig cfg = cluster::makeNodeConfig(0.02, 2);
+    cfg.warmupEpochs = 0;
+    std::vector<AppSpec> apps =
+        expandMix(mixByName("MID1"), cfg.numCores, cfg.instrBudget);
+    fault::FaultPlan faults;
+    faults.transitionDelayProb = 1.0;
+    FreqConfig profiled;
+    PolicyFactory spy = [&profiled] {
+        return std::make_unique<AllMaxSpyPolicy>(&profiled);
+    };
+    cluster::NodeSim node(0, cfg, apps, spy, faults);
+    FreqConfig all_min;
+    all_min.coreIdx.assign(static_cast<size_t>(cfg.numCores),
+                           cfg.coreLadder.size() - 1);
+    all_min.memIdx = cfg.memLadder.size() - 1;
+    node.presetConfig(all_min);
+
+    node.advanceEpoch(0.0); // asks for all-max; the transition is delayed
+    ASSERT_EQ(profiled.memIdx, all_min.memIdx);
+    node.crash(1, 0);
+    node.beginEpoch();
+    ASSERT_EQ(node.phase(), cluster::NodePhase::Up);
+
+    node.advanceEpoch(0.0);
+    EXPECT_EQ(profiled.memIdx, all_min.memIdx);
+    EXPECT_EQ(profiled.coreIdx, all_min.coreIdx);
+}
+
+TEST(NodeSim, TakesTheSameEpochsAsRun)
+{
+    // Three threads on two cores rotate every second epoch: a node
+    // must take run()'s epochs, rotation included.
+    SystemConfig cfg = cluster::makeNodeConfig(0.02, 2);
+    cfg.schedQuantumEpochs = 2;
+    std::vector<AppSpec> apps =
+        expandMix(mixByName("MID1"), 3, cfg.instrBudget);
+    PolicyFactory coscale = [] {
+        return std::make_unique<CoScalePolicy>(3, 0.10);
+    };
+
+    VectorTraceSink sink;
+    RunResult r = coscale::run(
+        RunRequest::forApps(cfg, "MID1x3", apps).with(coscale).withTrace(
+            sink));
+    std::vector<std::uint64_t> traced;
+    for (const TraceEvent &ev : sink.events()) {
+        if (ev.category() == "epoch" && ev.name() == "epoch")
+            traced.push_back(ev.find("instrs")->u64);
+    }
+    ASSERT_GE(traced.size(), 6u);
+
+    cluster::NodeSim node(0, cfg, apps, coscale, fault::FaultPlan{});
+    for (size_t e = 0; e < 6; ++e) {
+        EXPECT_EQ(node.advanceEpoch(0.0).instrs, traced[e])
+            << "epoch " << e;
+        FreqConfig installed = node.system().currentConfig();
+        EXPECT_EQ(installed.coreIdx, r.epochs[e].applied.coreIdx);
+        EXPECT_EQ(installed.memIdx, r.epochs[e].applied.memIdx);
+    }
+}
+
+TEST(EpochDriver, AuditsACappedNodeAndTheAuditBites)
+{
+    SystemConfig cfg = cluster::makeNodeConfig(0.02, 2);
+    std::vector<AppSpec> apps =
+        expandMix(mixByName("MID1"), cfg.numCores, cfg.instrBudget);
+    {
+        System sys(cfg, apps);
+        FastCapPolicy fastcap(cfg.numCores, 0.10, 24.0);
+        AuditSet audit(sys.numApps(), fastcap.slackGamma());
+        EpochDriver driver(sys, fastcap, fault::FaultPlan{}, &audit);
+        for (int e = 0; e < 4; ++e)
+            driver.step();
+        EXPECT_GT(audit.dram.commandsAudited(), 0u);
+        EXPECT_EQ(audit.energy.windowsAudited(), 8u);
+        EXPECT_EQ(audit.energy.candidatesAudited(), 4u);
+        EXPECT_EQ(audit.perf.epochsAudited(), 4u);
+    }
+    // No model predicts a measured epoch exactly: a zero residual
+    // bound must trip on the first step.
+    ScopedPanicThrow guard;
+    System sys(cfg, apps);
+    FastCapPolicy fastcap(cfg.numCores, 0.10, 24.0);
+    PerfAuditConfig strict;
+    strict.residualHard = 0.0;
+    AuditSet audit(sys.numApps(), fastcap.slackGamma(), strict);
+    EpochDriver driver(sys, fastcap, fault::FaultPlan{}, &audit);
+    EXPECT_THROW(driver.step(), CheckFailure);
 }
 
 // --- ClusterSim: fleet properties, byte identity, goldens ---

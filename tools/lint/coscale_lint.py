@@ -7,7 +7,8 @@ that would break bit-identical runs, unordered-container iteration
 that would scramble golden JSONL fixtures, raw asserts that bypass
 the COSCALE_CHECK reporting path, unguarded mutable globals that
 break run purity, raw std::mutex uses that dodge the clang
-thread-safety annotations, and uninitialized scalar struct members.
+thread-safety annotations, uninitialized scalar struct members, and
+policy decide/observe calls that copy the epoch loop.
 
 Usage:
     coscale_lint.py [paths...]            # default: <repo>/src
@@ -193,6 +194,17 @@ RULES = {
         # the devices themselves) are legitimate callers.
         "only": ["src/policy/"],
     },
+    "epoch-protocol": {
+        "desc": "Policy::safeDecide()/observeEpoch() called outside "
+                "the EpochDriver",
+        "why": "the controller's epoch step (rotation, fault seams, "
+               "decision, observation, audits) exists once, in "
+               "EpochDriver::step; a second caller of the policy's "
+               "decide/observe pair is a second copy of the loop, "
+               "and copies drift.",
+        "hint": "step an EpochDriver (sim/runner.hh) instead",
+        "exempt": ["src/sim/runner.cc"],
+    },
     # Meta-rules about the suppression mechanism itself.
     "bad-suppression": {
         "desc": "coscale-lint allow() without a justification",
@@ -363,6 +375,9 @@ BANNED_CALL_RULES = [
      re.compile(r"\b(setFrequency|setPartition|setWayMask|"
                 r"setShadowTracking)\s*\("),
      "'%s(' actuates a knob directly from policy code"),
+    ("epoch-protocol",
+     re.compile(r"(?:\.|->)\s*(safeDecide|observeEpoch)\s*\("),
+     "'%s(' drives the policy outside the EpochDriver"),
 ]
 
 BANNED_NAME_RULES = [
