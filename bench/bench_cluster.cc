@@ -20,23 +20,20 @@
  * never exceeds the budget during any churn event, and availability
  * and the degraded/clean SLO attribution are reported per run.
  *
- * Usage: bench_cluster [--nodes N] [--epochs E] [--scale S]
- *                      [--node-cores C] [--jobs J] [--mix NAME]
- *                      [--arrival SPEC] [--fracs a,b,c]
- *                      [--churn SPEC]
- *                      [--csv-out PATH] [--json-out PATH]
+ * The flags are clusterBenchOptionTable() in src/exp/options.cc;
+ * `bench_cluster --help` prints them. A bad flag exits 2, because
+ * exit 1 means a claim failed.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hh"
 #include "common/json.hh"
+#include "exp/options.hh"
 
 using coscale::cluster::ClusterConfig;
 using coscale::cluster::ClusterResult;
@@ -108,97 +105,27 @@ runConfig(const ClusterConfig &cfg, const std::string &name)
     return row;
 }
 
-double
-argDouble(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-    }
-    return std::atof(argv[++i]);
-}
-
-int
-argInt(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-    }
-    return std::atoi(argv[++i]);
-}
-
-const char *
-argStr(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", flag);
-        std::exit(2);
-    }
-    return argv[++i];
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    int nodes = 64;
-    int epochs = 8;
-    double scale = 0.02;
-    int node_cores = 2;
-    int jobs = 0; // auto
-    std::string mix = "MID1";
-    std::string arrival;
-    std::string churn;
-    std::string csv_out = "bench_cluster.csv";
-    std::string json_out = "BENCH_cluster.json";
-    std::vector<double> fracs = {0.85, 0.7, 0.55};
-
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (!std::strcmp(a, "--nodes"))
-            nodes = argInt(argc, argv, i, a);
-        else if (!std::strcmp(a, "--epochs"))
-            epochs = argInt(argc, argv, i, a);
-        else if (!std::strcmp(a, "--scale"))
-            scale = argDouble(argc, argv, i, a);
-        else if (!std::strcmp(a, "--node-cores"))
-            node_cores = argInt(argc, argv, i, a);
-        else if (!std::strcmp(a, "--jobs"))
-            jobs = argInt(argc, argv, i, a);
-        else if (!std::strcmp(a, "--mix"))
-            mix = argStr(argc, argv, i, a);
-        else if (!std::strcmp(a, "--arrival"))
-            arrival = argStr(argc, argv, i, a);
-        else if (!std::strcmp(a, "--churn"))
-            churn = argStr(argc, argv, i, a);
-        else if (!std::strcmp(a, "--csv-out"))
-            csv_out = argStr(argc, argv, i, a);
-        else if (!std::strcmp(a, "--json-out"))
-            json_out = argStr(argc, argv, i, a);
-        else if (!std::strcmp(a, "--fracs")) {
-            fracs.clear();
-            std::string spec = argStr(argc, argv, i, a);
-            size_t pos = 0;
-            while (pos < spec.size()) {
-                size_t comma = spec.find(',', pos);
-                if (comma == std::string::npos)
-                    comma = spec.size();
-                fracs.push_back(
-                    std::atof(spec.substr(pos, comma - pos).c_str()));
-                pos = comma + 1;
-            }
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", a);
-            return 2;
+    coscale::exp::ClusterBenchOptions opt;
+    coscale::exp::OptionTable table =
+        coscale::exp::clusterBenchOptionTable(opt);
+    try {
+        if (!coscale::exp::parseOptions(table, argc, argv)) {
+            std::fputs(coscale::exp::helpText(table).c_str(), stdout);
+            return 0;
         }
+    } catch (const coscale::exp::OptionParseError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
-
     coscale::cluster::ChurnPlan churn_plan;
-    if (!churn.empty()) {
+    if (!opt.churn.empty()) {
         try {
-            churn_plan = coscale::cluster::parseChurnSpec(churn);
+            churn_plan = coscale::cluster::parseChurnSpec(opt.churn);
         } catch (const coscale::cluster::ChurnParseError &e) {
             std::fprintf(stderr, "bad --churn: %s\n", e.what());
             return 2;
@@ -206,15 +133,16 @@ main(int argc, char **argv)
     }
 
     ClusterConfig base;
-    base.numNodes = nodes;
-    base.node = coscale::cluster::makeNodeConfig(scale, node_cores);
-    base.mix = mix;
-    base.epochs = epochs;
-    base.jobs = jobs;
-    if (!arrival.empty()) {
+    base.numNodes = opt.nodes;
+    base.node =
+        coscale::cluster::makeNodeConfig(opt.scale, opt.nodeCores);
+    base.mix = opt.mix;
+    base.epochs = opt.epochs;
+    base.jobs = opt.jobs;
+    if (!opt.arrival.empty()) {
         try {
             base.arrival =
-                coscale::cluster::parseArrivalSpec(arrival);
+                coscale::cluster::parseArrivalSpec(opt.arrival);
         } catch (const coscale::cluster::ArrivalParseError &e) {
             std::fprintf(stderr, "bad --arrival: %s\n", e.what());
             return 2;
@@ -227,10 +155,11 @@ main(int argc, char **argv)
         double epoch_secs =
             coscale::ticksToSeconds(base.node.epochLen);
         base.arrival.ratePerSec =
-            1.5 * static_cast<double>(nodes) / epoch_secs;
+            1.5 * static_cast<double>(opt.nodes) / epoch_secs;
         base.arrival.diurnalAmp = 0.25;
         base.arrival.diurnalPeriod =
-            epochs > 4 ? static_cast<std::uint64_t>(epochs) : 4;
+            opt.epochs > 4 ? static_cast<std::uint64_t>(opt.epochs)
+                           : 4;
         base.arrival.burstProb = 0.1;
         base.arrival.sloSecs = 6.0 * epoch_secs;
     }
@@ -242,7 +171,7 @@ main(int argc, char **argv)
     base.budgetW = 0.0;
     char label[128];
     std::snprintf(label, sizeof(label), "cluster%d_coscale_uncapped",
-                  nodes);
+                  opt.nodes);
     rows.push_back(runConfig(base, label));
     double p0 = rows.back().meanPowerW;
     // Budgets interpolate the feasible band: the model's all-min
@@ -253,19 +182,20 @@ main(int argc, char **argv)
     double floor_w = rows.back().floorW * 1.02;
     std::printf("fleet: %d nodes x %d cores, mix %s, %d epochs, "
                 "scale %.3g\n",
-                nodes, node_cores, mix.c_str(), epochs, scale);
+                opt.nodes, opt.nodeCores, opt.mix.c_str(), opt.epochs,
+                opt.scale);
     std::printf("uncapped CoScale mean power: %.1f W "
                 "(all-min floor %.1f W)\n\n",
                 p0, floor_w);
 
-    for (double frac : fracs) {
+    for (double frac : opt.fracs) {
         double budget = floor_w + frac * (p0 - floor_w);
         for (const char *policy : {"fastcap", "coscale"}) {
             ClusterConfig cfg = base;
             cfg.policy = policy;
             cfg.budgetW = budget;
             std::snprintf(label, sizeof(label),
-                          "cluster%d_%s_cap%02d", nodes, policy,
+                          "cluster%d_%s_cap%02d", opt.nodes, policy,
                           static_cast<int>(frac * 100.0 + 0.5));
             rows.push_back(runConfig(cfg, label));
         }
@@ -276,14 +206,14 @@ main(int argc, char **argv)
     // hangs, fences, and re-routing — that is the claim the exit
     // code checks.
     if (churn_plan.enabled()) {
-        for (double frac : fracs) {
+        for (double frac : opt.fracs) {
             double budget = floor_w + frac * (p0 - floor_w);
             ClusterConfig cfg = base;
             cfg.policy = "fastcap";
             cfg.budgetW = budget;
             cfg.churn = churn_plan;
             std::snprintf(label, sizeof(label),
-                          "cluster%d_fastcap_cap%02d_churn", nodes,
+                          "cluster%d_fastcap_cap%02d_churn", opt.nodes,
                           static_cast<int>(frac * 100.0 + 0.5));
             rows.push_back(runConfig(cfg, label));
         }
@@ -316,7 +246,7 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(r.sloClean));
     }
 
-    std::ofstream csv(csv_out, std::ios::binary);
+    std::ofstream csv(opt.csvOut, std::ios::binary);
     csv << "name,policy,budget_w,worst_power_w,mean_power_w,"
            "cap_violation_epochs,completed,slo_violations,queued,"
            "availability,churn_events,rerouted\n";
@@ -340,9 +270,10 @@ main(int argc, char **argv)
     }
     csv.close();
 
-    std::ofstream out(json_out, std::ios::binary);
+    std::ofstream out(opt.jsonOut, std::ios::binary);
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
+        std::fprintf(stderr, "cannot write %s\n",
+                     opt.jsonOut.c_str());
         return 1;
     }
     coscale::JsonWriter j(out);
@@ -374,7 +305,8 @@ main(int argc, char **argv)
     j.endObject();
     out << "\n";
 
-    std::printf("\n-> %s, %s\n", csv_out.c_str(), json_out.c_str());
+    std::printf("\n-> %s, %s\n", opt.csvOut.c_str(),
+                opt.jsonOut.c_str());
 
     // The headline claim, machine-checked: with the allocator armed,
     // FastCap never exceeds any budget; plain CoScale does at least

@@ -12,7 +12,6 @@
 #define COSCALE_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <sstream>
 #include <string>
 
 #include "common/rng.hh"
@@ -73,44 +72,7 @@ printHeader(const std::string &title)
     std::printf("\n==== %s ====\n", title.c_str());
 }
 
-/**
- * Run @p requests through an engine configured from @p opts, append
- * the batch to the JSONL sink when requested, and report failures.
- * The harness's standard tail: returns the outcomes for printing.
- *
- * Observability: --trace/--metrics apply to every request (each run
- * gets a private sink, so parallel batches stay deterministic); with
- * --metrics the registries are printed to stderr after the batch.
- */
-inline std::vector<exp::RunOutcome>
-runBatch(const exp::BenchOptions &opts,
-         const std::vector<RunRequest> &requests)
-{
-    std::vector<RunRequest> prepared = requests;
-    for (std::size_t i = 0; i < prepared.size(); ++i)
-        opts.applyObs(prepared[i], i, prepared.size());
-
-    exp::ExperimentEngine engine(opts.engineOptions());
-    std::vector<exp::RunOutcome> outcomes = engine.run(prepared);
-    exp::appendJsonlReport(outcomes, opts.jsonlPath);
-    exp::appendQuarantineSummary(engine.quarantinedKeys(),
-                                 opts.jsonlPath);
-    exp::reportFailures(outcomes);
-
-    if (opts.metrics) {
-        for (const exp::RunOutcome &out : outcomes) {
-            if (!out.ok || !out.result.metrics)
-                continue;
-            std::ostringstream os;
-            out.result.metrics->writeJson(os);
-            std::fprintf(stderr, "[metrics] %s %s %s\n",
-                         out.result.mixName.c_str(),
-                         out.result.policyName.c_str(),
-                         os.str().c_str());
-        }
-    }
-    return outcomes;
-}
+using exp::runBatch;
 
 } // namespace benchutil
 } // namespace coscale

@@ -12,6 +12,7 @@
  * regression.
  *
  * Usage: bench_kernel_throughput [output.json] [time-scale] [reps]
+ * (kernelBenchOptionTable() in src/exp/options.cc).
  */
 
 #include <algorithm>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "exp/options.hh"
 #include "sim/system.hh"
 #include "workloads/spec_catalogue.hh"
 
@@ -61,16 +63,16 @@ runOnce(double scale)
 int
 main(int argc, char **argv)
 {
-    std::string out_path = argc > 1 ? argv[1] : "BENCH_kernel.json";
-    double scale = argc > 2 ? std::stod(argv[2]) : 0.1;
-    int reps = argc > 3 ? std::stoi(argv[3]) : 3;
+    coscale::exp::KernelBenchOptions opt;
+    coscale::exp::parseArgsOrExit(
+        coscale::exp::kernelBenchOptionTable(opt), argc, argv);
 
     // Warm-up run (page faults, trace caches), then best-of-reps to
     // shave scheduler noise off the wall clock.
-    runOnce(scale);
+    runOnce(opt.scale);
     Sample best;
-    for (int r = 0; r < reps; ++r) {
-        Sample s = runOnce(scale);
+    for (int r = 0; r < opt.reps; ++r) {
+        Sample s = runOnce(opt.scale);
         if (best.wallS == 0.0 || s.wallS < best.wallS)
             best = s;
     }
@@ -79,17 +81,17 @@ main(int argc, char **argv)
     double events_per_sec =
         static_cast<double>(best.events) / best.wallS;
 
-    std::ofstream out(out_path, std::ios::binary);
+    std::ofstream out(opt.outPath, std::ios::binary);
     if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        std::fprintf(stderr, "cannot write %s\n", opt.outPath.c_str());
         return 1;
     }
     coscale::JsonWriter j(out);
     j.beginObject();
     j.field("benchmark", std::string("kernel_throughput"));
     j.field("mix", std::string("MID1"));
-    j.field("time_scale", scale);
-    j.field("reps", static_cast<std::uint64_t>(reps));
+    j.field("time_scale", opt.scale);
+    j.field("reps", static_cast<std::uint64_t>(opt.reps));
     j.field("sim_ticks", best.ticks);
     j.field("events", best.events);
     j.field("wall_s", best.wallS);
@@ -99,7 +101,7 @@ main(int argc, char **argv)
     out << "\n";
 
     std::printf("kernel throughput (MID1, scale %.3g, best of %d)\n",
-                scale, reps);
+                opt.scale, opt.reps);
     std::printf("  wall_s         %.3f\n", best.wallS);
     std::printf("  sim_ticks      %llu\n",
                 static_cast<unsigned long long>(best.ticks));
@@ -107,6 +109,6 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(best.events));
     std::printf("  ticks_per_sec  %.4g\n", ticks_per_sec);
     std::printf("  events_per_sec %.4g\n", events_per_sec);
-    std::printf("  -> %s\n", out_path.c_str());
+    std::printf("  -> %s\n", opt.outPath.c_str());
     return 0;
 }

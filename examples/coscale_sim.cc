@@ -5,83 +5,14 @@
  * prints (or CSVs) the result. This is the "driver binary" a
  * downstream user scripts their own experiments with. Multi-mix
  * sweeps execute on the parallel experiment engine; results are
- * printed in mix order regardless of worker count.
+ * printed in mix order regardless of worker count. `--nodes N`
+ * switches to an N-node fleet (src/cluster/).
  *
- * Usage:
- *   coscale_sim [options]
- *     --mix NAME         workload mix (default MID1; 'all' sweeps)
- *     --policy NAME      baseline|memscale|cpuonly|uncoordinated|
- *                        semi|semi-alt|coscale|offline|multiscale|reactive|
- *                        powercap
- *                        (default coscale)
- *     --scale S          time scale in (0,1] (default 0.1)
- *     --bound PCT        performance bound in percent (default 10)
- *     --cap WATTS        power cap (powercap policy only)
- *     --cores N          number of cores (default 16)
- *     --jobs N           worker threads for multi-mix sweeps
- *                        (default: COSCALE_JOBS, then hardware)
- *     --ooo              enable the OoO/MLP window
- *     --prefetch         enable the next-line prefetcher
- *     --mem-sched S      channel scheduler: fcfs (paper) or frfcfs
- *     --row-policy P     row-buffer policy: closed (paper) or open
- *     --dram-standard D  DRAM standard: ddr3 (paper), ddr4, lpddr4
- *     --open-page        alias for --row-policy open
- *     --region-map       region-per-channel placement (MultiScale)
- *     --freq-steps N     ladder steps for both domains (default 10)
- *     --half-voltage     use the 0.95-1.2 V core range
- *     --mem-power-mult M memory power multiplier (Fig. 12/13)
- *     --other-frac F     rest-of-system power fraction (default 0.1)
- *     --seed S           workload RNG seed
- *     --csv PATH         append one result row per run to a CSV
- *     --json PATH        write a full JSON report of the (last) run
- *     --jsonl PATH       append one JSON line per run (all runs)
- *     --epochs           print the per-epoch frequency log
- *     --trace PATH       write an epoch-level trace per run (run i
- *                        of a sweep goes to PATH.i)
- *     --trace-format F   jsonl (default) or chrome (load chrome
- *                        traces in chrome://tracing or Perfetto)
- *     --metrics          print each run's metrics registry (JSON)
- *     --timeout SECS     per-run wall-clock watchdog (0 = off)
- *     --retries N        retry a failed run up to N times
- *     --list-policies    print the registered policy roster and exit
- *
- *   Cluster mode (src/cluster/; --nodes > 0 switches to it):
- *     --nodes N          simulate an N-node fleet (0 = single node)
- *     --node-cores C     cores per fleet node (default 2)
- *     --power-cap W      global cluster power budget in watts
- *                        (0 = uncapped; grants re-divided per epoch)
- *     --cluster-epochs E cluster epochs to run (default 12)
- *     --arrival SPEC     request stream, e.g.
- *                        "rate=2e5,diurnal=0.25,period=12,burst=0.1,
- *                        burstx=4,ipr=250e3,slo=2e-3,seed=7"
- *                        (default: ~1.5 requests/node/epoch)
- *     --lb NAME          load balancer: rr, least-loaded, weighted
- *     --churn SPEC       node churn plan, e.g.
- *                        "crash=0.05,reboot=3,ramp=2,flap=0.02,
- *                        hang=0.05,hangx=2,blackout=0.1,blackoutx=1,
- *                        suspect=1,dead=3,seed=7"
- *                        (default: no churn; see DESIGN.md §12)
- *   In cluster mode --policy selects the per-node policy (fastcap
- *   couples with the allocator; anything else ignores its grants),
- *   --mix the per-node workload ('all' is rejected), --jobs the node
- *   fan-out width, and --trace/--json/--csv/--metrics emit
- *   cluster-scope output.
- *
- *   Deterministic fault injection (src/fault/; all default off):
- *     --fault-seed S     fault stream seed (0 = derive from --seed)
- *     --fault-noise A    counter noise amplitude (relative, e.g. 0.1)
- *     --fault-noise-bias B  persistent memory-stall-channel bias
- *     --fault-dropout P  P(profile loses one core's counters)/epoch
- *     --fault-stale P    P(profile re-serves the previous epoch)
- *     --fault-deny P     P(DVFS transition denied)/epoch
- *     --fault-delay P    P(transition delayed one epoch)/epoch
- *     --fault-clamp P    P(transition clamped one rung short)/epoch
- *     --fault-jitter F   epoch-timer jitter fraction (e.g. 0.05)
+ * The flags are simOptionTable() in src/exp/options.cc; `coscale_sim
+ * --help` prints them.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -93,6 +24,7 @@
 #include "common/log.hh"
 #include "exp/bench_options.hh"
 #include "exp/engine.hh"
+#include "exp/options.hh"
 #include "exp/policies.hh"
 #include "exp/report.hh"
 #include "sim/runner.hh"
@@ -101,190 +33,14 @@ using namespace coscale;
 
 namespace {
 
-struct Options
-{
-    std::string mix = "MID1";
-    std::string policy = "coscale";
-    double scale = 0.1;
-    double bound = 10.0;
-    double cap = 120.0;
-    int cores = 16;
-    int jobs = 0;
-    bool ooo = false;
-    bool prefetch = false;
-    MemBackendSel memBackend;
-    bool memBackendSet = false;
-    bool regionMap = false;
-    int freqSteps = 10;
-    bool halfVoltage = false;
-    double memPowerMult = 1.0;
-    double otherFrac = 0.10;
-    std::uint64_t seed = 1;
-    std::string csvPath;
-    std::string jsonPath;
-    std::string jsonlPath;
-    bool printEpochs = false;
-    TraceSpec trace;
-    bool metrics = false;
-    double timeoutSecs = 0.0;
-    int retries = 0;
-    fault::FaultPlan faults;
-
-    // Cluster mode (--nodes > 0).
-    int nodes = 0;
-    int nodeCores = 2;
-    double powerCap = 0.0;
-    int clusterEpochs = 12;
-    std::string arrival;
-    std::string lb = "weighted";
-    std::string churn;
-};
-
-/** Parse a probability/amplitude fault knob; reject negatives. */
-double
-faultKnob(const std::string &flag, const char *v)
-{
-    double x = std::atof(v);
-    if (x < 0.0)
-        fatal("%s must be non-negative, got '%s'", flag.c_str(), v);
-    return x;
-}
-
-Options
-parseArgs(int argc, char **argv)
-{
-    Options opt;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            fatal("missing value for %s", argv[i]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        if (a == "--mix") {
-            opt.mix = need(i);
-        } else if (a == "--policy") {
-            opt.policy = need(i);
-        } else if (a == "--scale") {
-            opt.scale = std::atof(need(i));
-        } else if (a == "--bound") {
-            opt.bound = std::atof(need(i));
-        } else if (a == "--cap") {
-            opt.cap = std::atof(need(i));
-        } else if (a == "--cores") {
-            opt.cores = std::atoi(need(i));
-        } else if (a == "--jobs") {
-            opt.jobs = std::atoi(need(i));
-        } else if (a == "--ooo") {
-            opt.ooo = true;
-        } else if (a == "--prefetch") {
-            opt.prefetch = true;
-        } else if (a == "--mem-sched") {
-            if (!parseMemSched(need(i), &opt.memBackend.sched))
-                fatal("--mem-sched must be fcfs or frfcfs");
-            opt.memBackendSet = true;
-        } else if (a == "--row-policy") {
-            if (!parseRowPolicy(need(i), &opt.memBackend.rowPolicy))
-                fatal("--row-policy must be closed or open");
-            opt.memBackendSet = true;
-        } else if (a == "--dram-standard") {
-            if (!parseDramStandard(need(i), &opt.memBackend.standard))
-                fatal("--dram-standard must be ddr3, ddr4, or lpddr4");
-            opt.memBackendSet = true;
-        } else if (a == "--open-page") {
-            opt.memBackend.rowPolicy = RowPolicy::Open;
-            opt.memBackendSet = true;
-        } else if (a == "--region-map") {
-            opt.regionMap = true;
-        } else if (a == "--freq-steps") {
-            opt.freqSteps = std::atoi(need(i));
-        } else if (a == "--half-voltage") {
-            opt.halfVoltage = true;
-        } else if (a == "--mem-power-mult") {
-            opt.memPowerMult = std::atof(need(i));
-        } else if (a == "--other-frac") {
-            opt.otherFrac = std::atof(need(i));
-        } else if (a == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
-        } else if (a == "--csv") {
-            opt.csvPath = need(i);
-        } else if (a == "--json") {
-            opt.jsonPath = need(i);
-        } else if (a == "--jsonl") {
-            opt.jsonlPath = need(i);
-        } else if (a == "--epochs") {
-            opt.printEpochs = true;
-        } else if (a == "--trace") {
-            opt.trace.path = need(i);
-        } else if (a == "--trace-format") {
-            const char *v = need(i);
-            if (!parseTraceFormat(v, &opt.trace.format))
-                fatal("--trace-format must be jsonl or chrome, "
-                      "got '%s'", v);
-        } else if (a == "--metrics") {
-            opt.metrics = true;
-        } else if (a == "--timeout") {
-            opt.timeoutSecs = std::atof(need(i));
-        } else if (a == "--retries") {
-            opt.retries = std::atoi(need(i));
-        } else if (a == "--fault-seed") {
-            opt.faults.seed =
-                static_cast<std::uint64_t>(std::atoll(need(i)));
-        } else if (a == "--fault-noise") {
-            opt.faults.counterNoiseAmp = faultKnob(a, need(i));
-        } else if (a == "--fault-noise-bias") {
-            // The one signed fault knob (bias direction matters).
-            opt.faults.counterNoiseBias = std::atof(need(i));
-        } else if (a == "--fault-dropout") {
-            opt.faults.counterDropoutProb = faultKnob(a, need(i));
-        } else if (a == "--fault-stale") {
-            opt.faults.counterStaleProb = faultKnob(a, need(i));
-        } else if (a == "--fault-deny") {
-            opt.faults.transitionDenyProb = faultKnob(a, need(i));
-        } else if (a == "--fault-delay") {
-            opt.faults.transitionDelayProb = faultKnob(a, need(i));
-        } else if (a == "--fault-clamp") {
-            opt.faults.transitionClampProb = faultKnob(a, need(i));
-        } else if (a == "--fault-jitter") {
-            opt.faults.epochJitterFrac = faultKnob(a, need(i));
-        } else if (a == "--nodes") {
-            opt.nodes = std::atoi(need(i));
-        } else if (a == "--node-cores") {
-            opt.nodeCores = std::atoi(need(i));
-        } else if (a == "--power-cap") {
-            opt.powerCap = std::atof(need(i));
-        } else if (a == "--cluster-epochs") {
-            opt.clusterEpochs = std::atoi(need(i));
-        } else if (a == "--arrival") {
-            opt.arrival = need(i);
-        } else if (a == "--lb") {
-            opt.lb = need(i);
-        } else if (a == "--churn") {
-            opt.churn = need(i);
-        } else if (a == "--list-policies") {
-            exp::printPolicyRoster();
-            exitCleanly();
-        } else if (a == "--help" || a == "-h") {
-            std::printf("see the header comment of "
-                        "examples/coscale_sim.cc for options\n");
-            exitCleanly();
-        } else {
-            fatal("unknown option '%s' (try --help)", a.c_str());
-        }
-    }
-    return opt;
-}
-
 SystemConfig
-makeConfig(const Options &opt)
+makeConfig(const exp::SimOptions &opt)
 {
-    SystemConfig cfg = makeScaledConfig(opt.scale);
+    SystemConfig cfg = opt.makeSystemConfig();
     cfg.numCores = opt.cores;
     cfg.gamma = opt.bound / 100.0;
     cfg.ooo = opt.ooo;
     cfg.llc.prefetchNextLine = opt.prefetch;
-    if (opt.memBackendSet)
-        applyMemBackend(cfg, opt.memBackend);
     if (opt.regionMap || opt.policy == "multiscale") {
         cfg.geom.addrMap = AddrMap::RegionPerChannel;
         cfg.power.geom = cfg.geom;
@@ -304,7 +60,7 @@ makeConfig(const Options &opt)
 }
 
 void
-printOutcome(const Options &opt, const SystemConfig &cfg,
+printOutcome(const exp::SimOptions &opt, const SystemConfig &cfg,
              const WorkloadMix &mix, const exp::RunOutcome &out,
              CsvWriter *csv)
 {
@@ -352,7 +108,7 @@ printOutcome(const Options &opt, const SystemConfig &cfg,
 
 /** Cluster mode: build the fleet, run it, print/emit per scope. */
 int
-runCluster(const Options &opt)
+runCluster(const exp::SimOptions &opt)
 {
     if (opt.mix == "all")
         fatal("--mix all is a single-node sweep; cluster mode runs "
@@ -360,7 +116,7 @@ runCluster(const Options &opt)
 
     cluster::ClusterConfig ccfg;
     ccfg.numNodes = opt.nodes;
-    Options nopt = opt;
+    exp::SimOptions nopt = opt;
     nopt.cores = opt.nodeCores;
     ccfg.node = makeConfig(nopt);
     // Node-sizing, as cluster::makeNodeConfig: no warmup (a warming
@@ -496,18 +252,18 @@ runCluster(const Options &opt)
 int
 main(int argc, char **argv)
 {
-    Options opt = parseArgs(argc, argv);
+    exp::SimOptions opt;
+    exp::parseArgsOrExit(exp::simOptionTable(opt), argc, argv);
+    if (opt.listPolicies) {
+        exp::printPolicyRoster();
+        return 0;
+    }
     if (opt.nodes > 0)
         return runCluster(opt);
     SystemConfig cfg = makeConfig(opt);
 
-    PolicyFactory factory;
-    try {
-        factory = exp::requirePolicyFactory(opt.policy, cfg.numCores,
-                                            cfg.gamma, opt.cap);
-    } catch (const std::exception &e) {
-        fatal("%s", e.what());
-    }
+    PolicyFactory factory = exp::policyFactoryByName(
+        opt.policy, cfg.numCores, cfg.gamma, opt.cap);
 
     std::vector<WorkloadMix> mixes;
     if (opt.mix == "all") {
@@ -524,25 +280,7 @@ main(int argc, char **argv)
             req.withFaults(opt.faults);
         requests.push_back(std::move(req));
     }
-    for (size_t i = 0; i < requests.size(); ++i) {
-        if (opt.trace.enabled()) {
-            TraceSpec spec = opt.trace;
-            if (requests.size() > 1) {
-                spec.path += '.';
-                spec.path += std::to_string(i);
-            }
-            requests[i].withTrace(spec);
-        }
-        if (opt.metrics)
-            requests[i].withMetrics();
-    }
-
-    exp::EngineOptions engineOpts;
-    engineOpts.jobs = opt.jobs;
-    engineOpts.timeoutSecs = opt.timeoutSecs;
-    engineOpts.retries = opt.retries;
-    exp::ExperimentEngine engine(engineOpts);
-    std::vector<exp::RunOutcome> outcomes = engine.run(requests);
+    std::vector<exp::RunOutcome> outcomes = exp::runBatch(opt, requests);
 
     std::unique_ptr<CsvWriter> csv;
     if (!opt.csvPath.empty()) {
@@ -572,22 +310,9 @@ main(int argc, char **argv)
             writeJsonReport(last->result, &last->vsBaseline, jf);
         }
     }
-    exp::appendJsonlReport(outcomes, opt.jsonlPath);
-    exp::appendQuarantineSummary(engine.quarantinedKeys(),
-                                 opt.jsonlPath);
-
-    if (opt.metrics) {
-        for (const auto &out : outcomes) {
-            if (!out.ok || !out.result.metrics)
-                continue;
-            std::ostringstream ms;
-            out.result.metrics->writeJson(ms);
-            std::fprintf(stderr, "[metrics] %s %s %s\n",
-                         out.result.mixName.c_str(),
-                         out.result.policyName.c_str(),
-                         ms.str().c_str());
-        }
+    for (const exp::RunOutcome &out : outcomes) {
+        if (!out.ok)
+            return 1;
     }
-
-    return exp::reportFailures(outcomes) == 0 ? 0 : 1;
+    return 0;
 }

@@ -9,9 +9,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/log.hh"
+#include "exp/options.hh"
 #include "policy/coscale_policy.hh"
 #include "sim/runner.hh"
 #include "trace/synthetic.hh"
@@ -65,7 +65,11 @@ makeBatch(std::uint64_t budget)
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.1;
+    double scale = 0.1;
+    exp::parseArgsOrExit(
+        {"custom_workload [scale]",
+         {{"scale", "", &scale, "time scale", exp::scaleRange}}},
+        argc, argv);
     SystemConfig cfg = makeScaledConfig(scale);
 
     // --- Step 1: record a trace (the paper's front-end step) ---

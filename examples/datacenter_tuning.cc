@@ -12,11 +12,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "exp/engine.hh"
+#include "exp/options.hh"
 #include "exp/policies.hh"
 #include "sim/runner.hh"
 
@@ -25,8 +25,13 @@ using namespace coscale;
 int
 main(int argc, char **argv)
 {
-    std::string mix_name = argc > 1 ? argv[1] : "MID4";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    std::string mix_name = "MID4";
+    double scale = 0.1;
+    exp::parseArgsOrExit({"datacenter_tuning [MIX] [scale]",
+                          {{"MIX", "", &mix_name, "Table 1 workload mix"},
+                           {"scale", "", &scale, "time scale",
+                            exp::scaleRange}}},
+                         argc, argv);
 
     const WorkloadMix &mix = mixByName(mix_name);
     exp::ExperimentEngine engine;

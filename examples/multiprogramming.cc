@@ -11,8 +11,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
+#include "exp/options.hh"
 #include "policy/coscale_policy.hh"
 #include "sim/runner.hh"
 
@@ -21,8 +21,13 @@ using namespace coscale;
 int
 main(int argc, char **argv)
 {
-    double scale = argc > 1 ? std::atof(argv[1]) : 0.05;
-    int quantum = argc > 2 ? std::atoi(argv[2]) : 2;
+    double scale = 0.05;
+    int quantum = 2;
+    exp::parseArgsOrExit(
+        {"multiprogramming [scale] [quantum_epochs]",
+         {{"scale", "", &scale, "time scale", exp::scaleRange},
+          {"quantum_epochs", "", &quantum, "epochs per rotation", {1.0}}}},
+        argc, argv);
 
     SystemConfig cfg = makeScaledConfig(scale);
     cfg.schedQuantumEpochs = quantum;

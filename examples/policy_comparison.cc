@@ -10,11 +10,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "exp/engine.hh"
+#include "exp/options.hh"
 #include "exp/policies.hh"
 #include "sim/runner.hh"
 
@@ -23,8 +23,13 @@ using namespace coscale;
 int
 main(int argc, char **argv)
 {
-    std::string mix_name = argc > 1 ? argv[1] : "MIX3";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    std::string mix_name = "MIX3";
+    double scale = 0.1;
+    exp::parseArgsOrExit({"policy_comparison [MIX] [scale]",
+                          {{"MIX", "", &mix_name, "Table 1 workload mix"},
+                           {"scale", "", &scale, "time scale",
+                            exp::scaleRange}}},
+                         argc, argv);
 
     SystemConfig cfg = makeScaledConfig(scale);
     const WorkloadMix &mix = mixByName(mix_name);

@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "exp/options.hh"
 #include "policy/coscale_policy.hh"
 #include "sim/runner.hh"
 
@@ -22,8 +22,13 @@ using namespace coscale;
 int
 main(int argc, char **argv)
 {
-    std::string mix_name = argc > 1 ? argv[1] : "MID1";
-    double scale = argc > 2 ? std::atof(argv[2]) : 0.1;
+    std::string mix_name = "MID1";
+    double scale = 0.1;
+    exp::parseArgsOrExit({"quickstart [MIX] [scale]",
+                          {{"MIX", "", &mix_name, "Table 1 workload mix"},
+                           {"scale", "", &scale, "time scale",
+                            exp::scaleRange}}},
+                         argc, argv);
 
     SystemConfig cfg = makeScaledConfig(scale);
     const WorkloadMix &mix = mixByName(mix_name);

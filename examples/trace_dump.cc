@@ -5,19 +5,17 @@
  * optionally the first N records. Also doubles as a generator: with
  * --make APP it records a fresh trace for a catalogue application.
  *
- * Usage:
- *   trace_dump FILE [--records N]
- *   trace_dump --make APP --out FILE [--instructions M]
+ * The arguments are traceDumpOptionTable() in src/exp/options.cc;
+ * `trace_dump --help` prints them.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 
 #include "common/log.hh"
+#include "exp/options.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_file.hh"
 #include "workloads/spec_catalogue.hh"
@@ -112,49 +110,23 @@ makeTrace(const std::string &app_name, const std::string &out,
 int
 main(int argc, char **argv)
 {
-    std::string file;
-    std::string make_app;
-    std::string out;
-    std::uint64_t instructions = 2'000'000;
-    int show_records = 0;
+    exp::TraceDumpOptions opt;
+    exp::OptionTable table = exp::traceDumpOptionTable(opt);
+    exp::parseArgsOrExit(table, argc, argv);
 
-    for (int i = 1; i < argc; ++i) {
-        std::string a = argv[i];
-        auto need = [&]() -> const char * {
-            if (i + 1 >= argc)
-                fatal("missing value for %s", a.c_str());
-            return argv[++i];
-        };
-        if (a == "--records") {
-            show_records = std::atoi(need());
-        } else if (a == "--make") {
-            make_app = need();
-        } else if (a == "--out") {
-            out = need();
-        } else if (a == "--instructions") {
-            instructions =
-                static_cast<std::uint64_t>(std::atoll(need()));
-        } else if (a[0] != '-') {
-            file = a;
-        } else {
-            fatal("unknown option '%s'", a.c_str());
-        }
-    }
-
-    if (!make_app.empty()) {
-        if (out.empty())
+    if (!opt.makeApp.empty()) {
+        if (opt.out.empty())
             fatal("--make requires --out FILE");
-        makeTrace(make_app, out, instructions);
+        makeTrace(opt.makeApp, opt.out, opt.instructions);
         return 0;
     }
-    if (file.empty()) {
-        std::printf("usage: trace_dump FILE [--records N]\n"
-                    "       trace_dump --make APP --out FILE "
-                    "[--instructions M]\n\navailable applications:\n");
+    if (opt.file.empty()) {
+        std::printf("%s\navailable applications:\n",
+                    exp::helpText(table).c_str());
         for (const auto &name : catalogueNames())
             std::printf("  %s\n", name.c_str());
         return 1;
     }
-    summarize(file, show_records);
+    summarize(opt.file, opt.records);
     return 0;
 }

@@ -1,9 +1,9 @@
 #include "cluster/arrival.hh"
 
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
+
+#include "common/number_parse.hh"
 
 namespace coscale {
 namespace cluster {
@@ -51,37 +51,27 @@ double
 parseDouble(const std::string &token, const std::string &value,
             std::size_t offset)
 {
-    errno = 0;
-    const char *begin = value.c_str();
-    char *end = nullptr;
-    double v = std::strtod(begin, &end);
-    if (end == begin || *end != '\0' || errno == ERANGE
-        || !std::isfinite(v)) {
-        throw ArrivalParseError(ArrivalParseError::Kind::BadValue,
-                                token, offset,
-                                "'" + value + "' is not a finite number");
+    double v = 0.0;
+    if (!coscale::parseDouble(value, &v)) {
+        throw ArrivalParseError(
+            ArrivalParseError::Kind::BadValue, token, offset,
+            "'" + value + "' is not a finite number");
     }
     return v;
 }
 
-/** Parse a full-token unsigned integer. */
+/** Parse a full-token unsigned integer (must start with a digit). */
 std::uint64_t
 parseU64(const std::string &token, const std::string &value,
          std::size_t offset)
 {
-    // strtoull skips leading whitespace and accepts a sign, wrapping
-    // " -5" to 2^64 - 5, so the token must start with a digit.
-    errno = 0;
-    const char *begin = value.c_str();
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(begin, &end, 10);
-    if (value[0] < '0' || value[0] > '9' || *end != '\0'
-        || errno == ERANGE) {
+    std::uint64_t v = 0;
+    if (!coscale::parseU64(value, &v)) {
         throw ArrivalParseError(
             ArrivalParseError::Kind::BadValue, token, offset,
             "'" + value + "' is not an unsigned integer");
     }
-    return static_cast<std::uint64_t>(v);
+    return v;
 }
 
 [[noreturn]] void

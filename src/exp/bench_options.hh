@@ -2,14 +2,17 @@
  * @file
  * Shared command-line surface for the figure/table harnesses. Every
  * harness accepts the same knobs — time scale, worker count, progress
- * reporting, JSONL output — parsed here so `bench_fig8_9_policies
+ * reporting, JSONL output — read through one option table
+ * (benchOptionTable() in exp/options.hh) so `bench_fig8_9_policies
  * --jobs 8 --jsonl out.jsonl` works identically across the suite.
+ * coscale_sim's options extend these.
  */
 
 #ifndef COSCALE_EXP_BENCH_OPTIONS_HH
 #define COSCALE_EXP_BENCH_OPTIONS_HH
 
 #include <string>
+#include <vector>
 
 #include "dram/mem_backend.hh"
 #include "exp/engine.hh"
@@ -61,6 +64,9 @@ struct BenchOptions
     MemBackendSel memBackend;
     bool memBackendSet = false;
 
+    /** --list-policies: print the policy roster instead of running. */
+    bool listPolicies = false;
+
     /**
      * The harness's base SystemConfig: makeScaledConfig(scale) with
      * the backend flags applied on top. Every harness builds its
@@ -74,48 +80,30 @@ struct BenchOptions
             applyMemBackend(cfg, memBackend);
         return cfg;
     }
-
-    /**
-     * Apply the trace/metrics surface to one request of a batch of
-     * @p total (suffixes the trace path for multi-request batches).
-     */
-    void
-    applyObs(RunRequest &req, std::size_t index,
-             std::size_t total) const
-    {
-        if (trace.enabled()) {
-            TraceSpec spec = trace;
-            if (total > 1)
-                spec.path += "." + std::to_string(index);
-            req.withTrace(spec);
-        }
-        if (metrics)
-            req.withMetrics();
-    }
-
-    EngineOptions
-    engineOptions() const
-    {
-        EngineOptions opts;
-        opts.jobs = jobs;
-        opts.progress = progress;
-        opts.timeoutSecs = timeoutSecs;
-        opts.retries = retries;
-        return opts;
-    }
 };
 
 /**
- * Parse the shared harness options. Accepts `--scale X` (or a bare
- * positional scale in (0, 1], the historical form), `--jobs N`,
- * `--jsonl PATH`, `--progress`, the memory-backend selection
- * (`--mem-sched fcfs|frfcfs`, `--row-policy closed|open`,
- * `--dram-standard ddr3|ddr4|lpddr4`), `--list-policies`, and
- * `--help`; falls back to the COSCALE_SCALE environment variable,
- * then @p defaultScale. Unknown flags are fatal.
+ * Parse the shared harness options through benchOptionTable()
+ * (exp/options.hh): `--scale X` or a bare positional scale, the
+ * engine, observability and memory-backend flags, `--list-policies`
+ * and `--help`. The scale falls back to COSCALE_SCALE (a malformed
+ * value warns once and is ignored), then @p defaultScale. A bad
+ * argument is fatal.
  */
 BenchOptions parseBenchArgs(int argc, char **argv,
                             double defaultScale = 0.1);
+
+/**
+ * Run @p requests through an engine configured from @p opts, append
+ * the batch to the JSONL sink when requested, and report failures on
+ * stderr: the standard tail of coscale_sim and every harness.
+ *
+ * Observability: --trace/--metrics apply to every request (each run
+ * gets a private sink, so parallel batches stay deterministic); with
+ * --metrics the registries are printed to stderr after the batch.
+ */
+std::vector<RunOutcome> runBatch(const BenchOptions &opts,
+                                 const std::vector<RunRequest> &requests);
 
 /**
  * Print the registered policy roster (knownPolicyNames(), one per

@@ -17,6 +17,7 @@
 #endif
 
 #include "common/log.hh"
+#include "common/number_parse.hh"
 #include "common/thread_annotations.hh"
 #include "exp/digest.hh"
 
@@ -65,11 +66,13 @@ resolveJobs(int requested)
 {
     if (requested > 0)
         return requested;
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; the one setenv lives in a single-threaded test
+    // NOLINTNEXTLINE(concurrency-mt-unsafe): read-only env probe; setenv runs only in single-threaded tests
     if (const char *env = std::getenv("COSCALE_JOBS")) {
-        int n = std::atoi(env);
-        if (n > 0)
-            return n;
+        std::uint64_t n = 0;
+        if (parseU64(env, &n) && n > 0
+            && n <= static_cast<std::uint64_t>(
+                   std::numeric_limits<int>::max()))
+            return static_cast<int>(n);
         warnOnce("engine.jobs.env",
                  "COSCALE_JOBS='%s' is not a positive integer; "
                  "falling back to hardware concurrency", env);

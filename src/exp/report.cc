@@ -3,9 +3,11 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "exp/bench_options.hh"
 
 namespace coscale {
 namespace exp {
@@ -97,6 +99,49 @@ reportFailures(const std::vector<RunOutcome> &outcomes)
         }
     }
     return failed;
+}
+
+std::vector<RunOutcome>
+runBatch(const BenchOptions &opts, const std::vector<RunRequest> &requests)
+{
+    // Request i of a multi-request batch traces to PATH.i, so parallel
+    // runs never share a sink.
+    std::vector<RunRequest> prepared = requests;
+    for (std::size_t i = 0; i < prepared.size(); ++i) {
+        if (opts.trace.enabled()) {
+            TraceSpec spec = opts.trace;
+            if (prepared.size() > 1)
+                spec.path += "." + std::to_string(i);
+            prepared[i].withTrace(spec);
+        }
+        if (opts.metrics)
+            prepared[i].withMetrics();
+    }
+
+    EngineOptions engineOpts;
+    engineOpts.jobs = opts.jobs;
+    engineOpts.progress = opts.progress;
+    engineOpts.timeoutSecs = opts.timeoutSecs;
+    engineOpts.retries = opts.retries;
+    ExperimentEngine engine(engineOpts);
+    std::vector<RunOutcome> outcomes = engine.run(prepared);
+    appendJsonlReport(outcomes, opts.jsonlPath);
+    appendQuarantineSummary(engine.quarantinedKeys(), opts.jsonlPath);
+    reportFailures(outcomes);
+
+    if (opts.metrics) {
+        for (const RunOutcome &out : outcomes) {
+            if (!out.ok || !out.result.metrics)
+                continue;
+            std::ostringstream os;
+            out.result.metrics->writeJson(os);
+            std::fprintf(stderr, "[metrics] %s %s %s\n",
+                         out.result.mixName.c_str(),
+                         out.result.policyName.c_str(),
+                         os.str().c_str());
+        }
+    }
+    return outcomes;
 }
 
 } // namespace exp

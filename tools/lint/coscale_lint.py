@@ -7,8 +7,9 @@ that would break bit-identical runs, unordered-container iteration
 that would scramble golden JSONL fixtures, raw asserts that bypass
 the COSCALE_CHECK reporting path, unguarded mutable globals that
 break run purity, raw std::mutex uses that dodge the clang
-thread-safety annotations, uninitialized scalar struct members, and
-policy decide/observe calls that copy the epoch loop.
+thread-safety annotations, uninitialized scalar struct members,
+policy decide/observe calls that copy the epoch loop, and C library
+number parsers that bypass the strict one.
 
 Usage:
     coscale_lint.py [paths...]            # default: <repo>/src
@@ -205,6 +206,20 @@ RULES = {
         "hint": "step an EpochDriver (sim/runner.hh) instead",
         "exempt": ["src/sim/runner.cc"],
     },
+    "raw-number-parse": {
+        "desc": "C library number parser (atoi/atof/strto*/sto*) "
+                "outside common/number_parse.cc",
+        "why": "atoi/atof read '2x' as 2 and 'abc' as 0, strtoull "
+               "wraps '-5' to 2^64-5, and std::stod throws on junk, "
+               "so a bad value from outside the program runs the "
+               "wrong experiment or aborts. Every such number goes "
+               "through the one strict, full-token parser and fails "
+               "as a structured error instead.",
+        "hint": "use coscale::parseDouble/parseU64 "
+                "(common/number_parse.hh) or an option-table row "
+                "(exp/options.hh)",
+        "exempt": ["src/common/number_parse.cc"],  # the parser itself
+    },
     # Meta-rules about the suppression mechanism itself.
     "bad-suppression": {
         "desc": "coscale-lint allow() without a justification",
@@ -378,6 +393,11 @@ BANNED_CALL_RULES = [
     ("epoch-protocol",
      re.compile(r"(?:\.|->)\s*(safeDecide|observeEpoch)\s*\("),
      "'%s(' drives the policy outside the EpochDriver"),
+    ("raw-number-parse",
+     re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?"
+                r"(ato(?:i|l|ll|f)|strto(?:d|f|ld|l|ll|ul|ull|imax|umax)|"
+                r"sto(?:i|l|ll|ul|ull|f|d|ld))\s*\("),
+     "'%s(' parses a number without the strict parser"),
 ]
 
 BANNED_NAME_RULES = [
