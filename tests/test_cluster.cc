@@ -6,7 +6,8 @@
  *    monotonicity, symmetry),
  *  - arrival-spec parser round trips, every structured error kind,
  *    and a hash-driven mutation fuzzer (malformed input must throw
- *    ArrivalParseError and nothing else),
+ *    ArrivalParseError and nothing else); both spec parsers at each
+ *    key's range ends,
  *  - arrival-generator determinism pins (hard-coded expected streams
  *    — the cross-platform bit-identity contract),
  *  - exp::parallelFor execution semantics (every index runs exactly
@@ -1451,6 +1452,67 @@ TEST(ChurnParse, FuzzedSpecsThrowOnlyChurnParseError)
     // The mutator must exercise both paths to mean anything.
     EXPECT_GT(parsed, 0);
     EXPECT_GT(rejected, 100);
+}
+
+/** True when @p formatted holds @p token as one whole key=value. */
+bool
+formatsToken(const std::string &formatted, const std::string &token)
+{
+    return ("," + formatted + ",").find("," + token + ",")
+           != std::string::npos;
+}
+
+TEST(SpecParse, EveryKeyAcceptsItsRangeEnds)
+{
+    // Each key at the closed ends of its range parses and prints back
+    // as written; a step outside either end is OutOfRange. An open end
+    // (rate > 0, slo > 0) is itself outside. Below an integer key's
+    // lower end is a sign, which is BadValue, not OutOfRange.
+    const char *const arrivalOk[] = {
+        "diurnal=0", "diurnal=1", "period=1", "burst=0", "burst=1",
+        "burstx=1", "ipr=1", "seed=0", "seed=18446744073709551615",
+    };
+    for (const char *spec : arrivalOk) {
+        std::string formatted;
+        EXPECT_NO_THROW(formatted = cluster::formatArrivalSpec(
+                            cluster::parseArrivalSpec(spec)))
+            << spec;
+        EXPECT_TRUE(formatsToken(formatted, spec)) << formatted;
+    }
+    const char *const arrivalOut[] = {
+        "rate=0", "rate=-1e-300", "diurnal=-0.001", "diurnal=1.001",
+        "period=0", "burst=-0.001", "burst=1.001", "burstx=0.999",
+        "ipr=0.5", "ipr=0.999", "slo=0", "slo=-1e-300",
+    };
+    for (const char *spec : arrivalOut)
+        expectParseError(spec, ArrivalParseError::Kind::OutOfRange);
+
+    const char *const churnOk[] = {
+        "crash=0", "crash=1", "flap=0", "flap=1", "hang=0", "hang=1",
+        "blackout=0", "blackout=1", "reboot=1", "reboot=1000000",
+        "ramp=0", "ramp=1000000", "hangx=1", "hangx=1000000",
+        "blackoutx=1", "blackoutx=1000000", "suspect=1", "dead=1",
+        "suspect=2,dead=2", "suspect=1000000,dead=1000000", "seed=0",
+        "seed=18446744073709551615",
+    };
+    for (const char *spec : churnOk) {
+        std::string formatted;
+        EXPECT_NO_THROW(formatted = cluster::formatChurnSpec(
+                            cluster::parseChurnSpec(spec)))
+            << spec;
+        EXPECT_TRUE(formatsToken(formatted, spec)) << formatted;
+    }
+    const char *const churnOut[] = {
+        "crash=-0.001", "crash=1.001", "flap=-0.001", "flap=1.001",
+        "hang=-0.001", "hang=1.001", "blackout=-0.001", "blackout=1.001",
+        "reboot=0", "reboot=1000001", "ramp=1000001", "hangx=0",
+        "hangx=1000001", "blackoutx=0", "blackoutx=1000001", "suspect=0",
+        "suspect=1000001", "dead=0", "dead=1000001",
+        // dead must reach suspect (defaults: suspect 1, dead 3).
+        "suspect=2,dead=1", "suspect=4",
+    };
+    for (const char *spec : churnOut)
+        expectChurnError(spec, cluster::ChurnParseError::Kind::OutOfRange);
 }
 
 // --- churn draws: stateless determinism ---
