@@ -127,7 +127,7 @@ main(int argc, char **argv)
         try {
             churn_plan = coscale::cluster::parseChurnSpec(opt.churn);
         } catch (const coscale::cluster::ChurnParseError &e) {
-            std::fprintf(stderr, "bad --churn: %s\n", e.what());
+            std::fprintf(stderr, "option --churn: %s\n", e.what());
             return 2;
         }
     }
@@ -144,7 +144,7 @@ main(int argc, char **argv)
             base.arrival =
                 coscale::cluster::parseArrivalSpec(opt.arrival);
         } catch (const coscale::cluster::ArrivalParseError &e) {
-            std::fprintf(stderr, "bad --arrival: %s\n", e.what());
+            std::fprintf(stderr, "option --arrival: %s\n", e.what());
             return 2;
         }
     } else {

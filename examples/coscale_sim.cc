@@ -134,10 +134,14 @@ runCluster(const exp::SimOptions &opt)
     ccfg.seed = opt.seed;
     ccfg.faults = opt.faults;
     ccfg.jobs = opt.jobs;
+    // The cluster layer checks these three, so name the flag here.
+    const char *flag = "--lb";
     try {
         ccfg.lb = cluster::parseLbPolicy(opt.lb);
+        flag = "--churn";
         if (!opt.churn.empty())
             ccfg.churn = cluster::parseChurnSpec(opt.churn);
+        flag = "--arrival";
         if (!opt.arrival.empty()) {
             ccfg.arrival = cluster::parseArrivalSpec(opt.arrival);
         } else {
@@ -147,7 +151,7 @@ runCluster(const exp::SimOptions &opt)
             ccfg.arrival.sloSecs = 6.0 * epoch_secs;
         }
     } catch (const std::exception &e) {
-        fatal("%s", e.what());
+        fatal("option %s: %s", flag, e.what());
     }
 
     std::unique_ptr<TraceSink> sink;

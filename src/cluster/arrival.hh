@@ -18,46 +18,24 @@
 #ifndef COSCALE_CLUSTER_ARRIVAL_HH
 #define COSCALE_CLUSTER_ARRIVAL_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
+#include "exp/options.hh"
 #include "fault/fault_plan.hh"
 
 namespace coscale {
 namespace cluster {
 
-/**
- * Structured parse failure for an --arrival spec string, mirroring
- * trace/trace_file.hh's TraceParseError: a kind, the offending token,
- * and the character offset into the spec, so front ends can point at
- * the exact mistake.
- */
-class ArrivalParseError : public std::runtime_error
+/** An --arrival spec failed to parse: its kind, token and offset. */
+class ArrivalParseError : public exp::SpecParseError
 {
   public:
-    enum class Kind
+    using SpecParseError::SpecParseError;
+    explicit ArrivalParseError(const SpecParseError &e)
+        : SpecParseError(e)
     {
-        EmptySpec,    //!< the spec string is empty
-        BadToken,     //!< token is not of the form key=value
-        UnknownKey,   //!< key is not a recognised knob
-        BadValue,     //!< value is not a number of the expected form
-        OutOfRange,   //!< value parsed but violates the knob's range
-        DuplicateKey, //!< the same key appeared twice
-    };
-
-    ArrivalParseError(Kind kind, std::string token, std::size_t offset,
-                      const std::string &detail);
-
-    Kind kind() const { return errKind; }
-    const std::string &token() const { return errToken; }
-    std::size_t charOffset() const { return errOffset; }
-
-  private:
-    Kind errKind;
-    std::string errToken;
-    std::size_t errOffset;
+    }
 };
 
 /**

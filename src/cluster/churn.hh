@@ -17,45 +17,24 @@
 #ifndef COSCALE_CLUSTER_CHURN_HH
 #define COSCALE_CLUSTER_CHURN_HH
 
-#include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 
+#include "exp/options.hh"
 #include "fault/fault_plan.hh"
 
 namespace coscale {
 namespace cluster {
 
-/**
- * Structured parse failure for a --churn spec string, mirroring
- * ArrivalParseError: a kind, the offending token, and the character
- * offset into the spec, so front ends can point at the exact mistake.
- */
-class ChurnParseError : public std::runtime_error
+/** A --churn spec failed to parse: its kind, token and offset. */
+class ChurnParseError : public exp::SpecParseError
 {
   public:
-    enum class Kind
+    using SpecParseError::SpecParseError;
+    explicit ChurnParseError(const SpecParseError &e)
+        : SpecParseError(e)
     {
-        EmptySpec,    //!< the spec string is empty
-        BadToken,     //!< token is not of the form key=value
-        UnknownKey,   //!< key is not a recognised knob
-        BadValue,     //!< value is not a number of the expected form
-        OutOfRange,   //!< value parsed but violates the knob's range
-        DuplicateKey, //!< the same key appeared twice
-    };
-
-    ChurnParseError(Kind kind, std::string token, std::size_t offset,
-                    const std::string &detail);
-
-    Kind kind() const { return errKind; }
-    const std::string &token() const { return errToken; }
-    std::size_t charOffset() const { return errOffset; }
-
-  private:
-    Kind errKind;
-    std::string errToken;
-    std::size_t errOffset;
+    }
 };
 
 /**

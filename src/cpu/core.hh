@@ -64,9 +64,8 @@ class Core
     bool computing() const { return state == State::Compute; }
 
     /**
-     * Block the access TraceHandle::lookahead records after the
-     * pending one will touch: the farthest address the core already
-     * knows, for host-cache prefetching.
+     * Block the access after the pending one will touch: the farthest
+     * address the core already knows, for host-cache prefetching.
      */
     BlockAddr aheadAddr() const { return trace.newest().addr; }
 

@@ -25,10 +25,10 @@ constexpr Range kPositive{1.0};
 constexpr Range kProb{0.0, 1.0};
 
 std::string
-num(double x)
+num(double x, int digits = 15)
 {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.15g", x);
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, x);
     return buf;
 }
 
@@ -46,14 +46,14 @@ rangeText(const Range &r)
 
 /** A number or text row's value ("" for other rows). */
 std::string
-valueText(const Option &o)
+valueText(const Option &o, int digits = 15)
 {
     if (int *const *i = std::get_if<int *>(&o.target))
         return std::to_string(**i);
     if (auto *u = std::get_if<std::uint64_t *>(&o.target))
         return std::to_string(**u);
     if (double *const *d = std::get_if<double *>(&o.target))
-        return num(**d);
+        return num(**d, digits);
     if (auto *s = std::get_if<std::string *>(&o.target))
         return **s;
     return "";
@@ -195,6 +195,71 @@ OptionParseError::OptionParseError(Kind kind, std::string flag,
       }()),
       errKind(kind), errFlag(std::move(flag)), errToken(std::move(token))
 {
+}
+
+SpecParseError::SpecParseError(Kind kind, std::string token,
+                               std::size_t offset,
+                               const std::string &expected)
+    : std::runtime_error([&] {
+          const char *kinds[] = {"empty spec",   "bad token",
+                                 "unknown key",  "bad value",
+                                 "out of range", "duplicate key"};
+          return kinds[static_cast<int>(kind)]
+                 + (token.empty() ? "" : " '" + token + "'")
+                 + " at offset " + std::to_string(offset) + " (expected "
+                 + expected + ")";
+      }()),
+      errKind(kind), errToken(std::move(token)), errOffset(offset)
+{
+}
+
+void
+parseSpec(const std::vector<Option> &rows, const std::string &text)
+{
+    using Kind = SpecParseError::Kind;
+    std::string keys = "key=value pairs:";
+    for (const Option &o : rows)
+        keys += (&o == &rows.front() ? " " : ", ") + o.name;
+    if (text.empty())
+        throw SpecParseError(Kind::EmptySpec, "", 0, keys);
+    std::vector<bool> seen(rows.size());
+    for (std::size_t pos = 0; pos <= text.size();) {
+        std::size_t end = std::min(text.find(',', pos), text.size());
+        std::string token = text.substr(pos, end - pos);
+        auto error = [&](Kind k, const std::string &want) {
+            return SpecParseError(k, token, pos, want);
+        };
+        std::size_t eq = token.find('=');
+        if (eq == std::string::npos || eq == 0 || eq + 1 == token.size())
+            throw error(Kind::BadToken, keys);
+        auto row = std::find_if(rows.begin(), rows.end(),
+                                [&](const Option &o) {
+                                    return token.compare(0, eq, o.name)
+                                           == 0;
+                                });
+        if (row == rows.end())
+            throw error(Kind::UnknownKey, keys);
+        if (seen[row - rows.begin()])
+            throw error(Kind::DuplicateKey, keys);
+        seen[row - rows.begin()] = true;
+        try {
+            store(*row, token.substr(eq + 1));
+        } catch (const OptionParseError &e) {
+            throw error(e.kind() == ErrKind::OutOfRange ? Kind::OutOfRange
+                                                        : Kind::BadValue,
+                        expected(*row));
+        }
+        pos = end + 1;
+    }
+}
+
+std::string
+formatSpec(const std::vector<Option> &rows)
+{
+    std::string s;
+    for (const Option &o : rows)
+        s += (s.empty() ? "" : ",") + o.name + "=" + valueText(o, 17);
+    return s;
 }
 
 bool

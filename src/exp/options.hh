@@ -15,11 +15,16 @@
  * without running it; the small examples write theirs inline. A table
  * holds pointers into the options it was built over, which must
  * outlive it.
+ *
+ * The same rows, named by key, describe a "key=value,key=value" spec
+ * (--arrival, --churn): parseSpec() stores each value as a flag's is
+ * stored, and formatSpec() prints the rows back.
  */
 
 #ifndef COSCALE_EXP_OPTIONS_HH
 #define COSCALE_EXP_OPTIONS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -36,9 +41,8 @@ namespace coscale {
 namespace exp {
 
 /**
- * Structured command-line failure, like the --arrival/--churn spec
- * errors: a kind, the flag (or positional name) it concerns, and the
- * offending token.
+ * Structured command-line failure: a kind, the flag (or positional
+ * name) it concerns, and the offending token.
  */
 class OptionParseError : public std::runtime_error
 {
@@ -63,6 +67,37 @@ class OptionParseError : public std::runtime_error
     Kind errKind;
     std::string errFlag;
     std::string errToken;
+};
+
+/**
+ * Structured failure of a key=value spec: a kind, the offending token,
+ * and its character offset into the spec, so front ends can point at
+ * the exact mistake.
+ */
+class SpecParseError : public std::runtime_error
+{
+  public:
+    enum class Kind
+    {
+        EmptySpec,    //!< the spec string is empty
+        BadToken,     //!< token is not of the form key=value
+        UnknownKey,   //!< key is not one of the rows
+        BadValue,     //!< value is not of the key's kind
+        OutOfRange,   //!< value parsed but lies outside the key's range
+        DuplicateKey, //!< the same key appeared twice
+    };
+
+    SpecParseError(Kind kind, std::string token, std::size_t offset,
+                   const std::string &expected);
+
+    Kind kind() const { return errKind; }
+    const std::string &token() const { return errToken; }
+    std::size_t charOffset() const { return errOffset; }
+
+  private:
+    Kind errKind;
+    std::string errToken;
+    std::size_t errOffset;
 };
 
 /** The numbers a row accepts: lo to hi, each end open or closed. */
@@ -121,6 +156,21 @@ struct OptionTable
  */
 bool parseOptions(const OptionTable &table, int argc,
                   const char *const *argv);
+
+/**
+ * Read a "key=value,key=value" spec into @p rows, whose names are the
+ * keys; each value is stored, number checks included, as
+ * parseOptions() stores a flag's. Keys left out keep their targets'
+ * values. Throws SpecParseError on an empty spec or an empty,
+ * malformed, unknown, duplicate or bad token.
+ */
+void parseSpec(const std::vector<Option> &rows, const std::string &text);
+
+/**
+ * The spec parseSpec() reads back into @p rows' current values: every
+ * row in order, numbers at %.17g.
+ */
+std::string formatSpec(const std::vector<Option> &rows);
 
 /**
  * The --help text: the usage line and one line per row, showing each

@@ -8,7 +8,6 @@
 #include "policy/fastcap.hh"
 #include "policy/multiscale.hh"
 #include "policy/offline.hh"
-#include "policy/power_cap.hh"
 #include "policy/simple_policies.hh"
 #include "policy/uncoordinated.hh"
 
@@ -128,8 +127,10 @@ policyFactoryByName(const std::string &name, int cores, double gamma,
         };
     }
     if (p == "powercap") {
-        return [capWatts] {
-            return std::make_unique<PowerCapPolicy>(capWatts);
+        // FastCap's capping walk alone: no fairness phase, no ledger.
+        return [cores, gamma, capWatts] {
+            return std::make_unique<FastCapPolicy>(cores, gamma, capWatts,
+                                                   false);
         };
     }
     if (p == "fastcap") {

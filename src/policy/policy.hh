@@ -181,7 +181,7 @@ class Policy
 
     /**
      * This policy's slack ledger, or nullptr for ledger-free policies
-     * (Baseline, PowerCap). The runner traces it per epoch.
+     * (Baseline, PowerCap, FastCap). The runner traces it per epoch.
      */
     virtual const SlackTracker *slackLedger() const { return nullptr; }
 

@@ -322,9 +322,9 @@ System::run(Tick until)
                who.step(who.nextEventTick());
            }
        }
-       // The newest record in the core's trace ring accesses the LLC
-       // TraceHandle::lookahead + 1 compute gaps from now; start
-       // pulling its set into the host cache already.
+       // The record the core's trace generated ahead accesses the
+       // LLC two compute gaps from now; start pulling its set into
+       // the host cache already.
        if (who.computing())
            cache.prefetchSet(who.aheadAddr());
        rescheduleCore(i);

@@ -7,14 +7,13 @@
  *
  * TraceSource is polymorphic (synthetic generator, file replay);
  * TraceHandle gives it value semantics via clone-on-copy so the whole
- * simulator remains deep-copyable, and generates a few records ahead
- * of the core that consumes them.
+ * simulator remains deep-copyable, and generates one record ahead of
+ * the core that consumes it.
  */
 
 #ifndef COSCALE_TRACE_TRACE_HH
 #define COSCALE_TRACE_TRACE_HH
 
-#include <array>
 #include <cstdint>
 #include <memory>
 
@@ -50,37 +49,31 @@ class TraceSource
 
 /**
  * Value-semantic owner of a TraceSource (clone-on-copy) that runs the
- * source a fixed number of records ahead of its consumer.
+ * source one record ahead of its consumer.
  *
- * The handle keeps the next `lookahead` records in an in-object ring
- * and refills one slot per record it hands out, so the record a core
- * consumes was generated `lookahead` calls earlier: the generator's
- * serial chain of RNG draws and log() is not what the core's next
- * wake tick waits on. This is exact because a source's records are a
- * pure function of its own state, never of simulated time, and the
- * ring travels with the handle (copies, moves, context switches).
+ * The handle keeps the next record in the object and generates its
+ * successor as it hands it out, so the record a core consumes was
+ * generated one call earlier: the generator's serial chain of RNG
+ * draws and log() is not what the core's next wake tick waits on.
+ * This is exact because a source's records are a pure function of its
+ * own state, never of simulated time, and the record travels with the
+ * handle (copies, moves, context switches).
  */
 class TraceHandle
 {
   public:
-    /** Records generated ahead of the one next() returns. */
-    static constexpr int lookahead = 1;
-
     TraceHandle() = default;
 
     explicit
     TraceHandle(std::unique_ptr<TraceSource> s)
         : src(std::move(s))
     {
-        if (src) {
-            for (TraceRecord &r : ring)
-                r = src->next();
-        }
+        if (src)
+            ahead = src->next();
     }
 
     TraceHandle(const TraceHandle &o)
-        : src(o.src ? o.src->clone() : nullptr), ring(o.ring),
-          head(o.head)
+        : src(o.src ? o.src->clone() : nullptr), ahead(o.ahead)
     {
     }
 
@@ -93,32 +86,23 @@ class TraceHandle
     TraceHandle(TraceHandle &&) = default;
     TraceHandle &operator=(TraceHandle &&) = default;
 
-    /** The source's next record; generates the one `lookahead` later. */
+    /** The source's next record; generates the one after it. */
     TraceRecord
     next()
     {
-        TraceRecord r = ring[head];
-        ring[head] = src->next();
-        head = head + 1 == lookahead ? 0 : head + 1;
+        TraceRecord r = ahead;
+        ahead = src->next();
         return r;
     }
 
-    /**
-     * The newest record in the ring: what the `lookahead`-th call of
-     * next() from now returns.
-     */
-    const TraceRecord &
-    newest() const
-    {
-        return ring[head == 0 ? lookahead - 1 : head - 1];
-    }
+    /** The record generated ahead: what next() returns next. */
+    const TraceRecord &newest() const { return ahead; }
 
     explicit operator bool() const { return src != nullptr; }
 
   private:
     std::unique_ptr<TraceSource> src;
-    std::array<TraceRecord, lookahead> ring{};
-    int head = 0;  //!< slot of the record next() returns
+    TraceRecord ahead{};
 };
 
 } // namespace coscale

@@ -25,7 +25,9 @@ import tempfile
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (program, arguments, flag, token). The coscale_sim probes hit each
-# kind of range the table enforces, plus the mix and policy names.
+# kind of range the table enforces, plus the mix and policy names and
+# the three cluster values checked after parsing (--arrival, --churn,
+# --lb).
 PROBES = [
     ("coscale_sim", ["--scale", "abc"], "--scale", "abc"),
     ("coscale_sim", ["--cores", "0"], "--cores", "0"),
@@ -42,7 +44,14 @@ PROBES = [
     ("coscale_sim", ["--seed", "-5"], "--seed", "-5"),
     ("coscale_sim", ["--mix", "bogus"], "--mix", "bogus"),
     ("coscale_sim", ["--policy", "bogus"], "--policy", "bogus"),
+    ("coscale_sim", ["--nodes", "2", "--arrival", "rate=abc"], "--arrival",
+     "rate=abc"),
+    ("coscale_sim", ["--nodes", "2", "--churn", "crash=2"], "--churn",
+     "crash=2"),
+    ("coscale_sim", ["--nodes", "2", "--lb", "bogus"], "--lb", "bogus"),
     ("bench_cluster", ["--nodes", "abc"], "--nodes", "abc"),
+    ("bench_cluster", ["--arrival", "rate=abc"], "--arrival", "rate=abc"),
+    ("bench_cluster", ["--churn", "crash=2"], "--churn", "crash=2"),
     ("bench_kernel_throughput", ["out.json", "abc"], "time-scale", "abc"),
     ("bench_harness", ["--jobs", "2x"], "--jobs", "2x"),
     ("trace_dump", ["probe.trace", "--records", "abc"], "--records",

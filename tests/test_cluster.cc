@@ -44,7 +44,6 @@
 #include "obs/trace_sink.hh"
 #include "policy/coscale_policy.hh"
 #include "policy/fastcap.hh"
-#include "policy/power_cap.hh"
 #include "workloads/spec_catalogue.hh"
 
 #include "golden_util.hh"
@@ -815,11 +814,11 @@ TEST_F(FastCapFixture, DecisionFitsUnderTheCap)
 TEST_F(FastCapFixture, SpendsHeadroomAtLeastAsWellAsPowerCap)
 {
     // The fairness-upgrade phase must never do worse than the plain
-    // capping descent it starts from.
+    // capping descent it starts from (PowerCap: the phase off).
     for (double f : {0.3, 0.5, 0.7, 0.9}) {
         double cap = minPower() + f * (maxPower() - minPower());
         FastCapPolicy fc(n(), 0.10, cap);
-        PowerCapPolicy pc(cap);
+        FastCapPolicy pc(n(), 0.10, cap, false);
         FreqConfig a =
             fc.decide(prof, em, FreqConfig::allMax(n()), epochLen);
         FreqConfig b =

@@ -11,8 +11,8 @@
 #include <cmath>
 
 #include "policy/coscale_policy.hh"
+#include "policy/fastcap.hh"
 #include "policy/offline.hh"
-#include "policy/power_cap.hh"
 #include "policy/search_common.hh"
 #include "policy/simple_policies.hh"
 #include "policy/uncoordinated.hh"
@@ -346,25 +346,36 @@ TEST_F(PolicyFixture, SemiAlternatePhasesManagers)
     EXPECT_GT(second.memIdx, first.memIdx);
 }
 
-// --- PowerCap ---
+// --- PowerCap: FastCap with its fairness phase off ---
+
+/** The roster's powercap: FastCap's capping walk alone. */
+FastCapPolicy
+powerCap(int cores, double cap)
+{
+    return FastCapPolicy(cores, 0.05, cap, false);
+}
 
 TEST_F(PolicyFixture, PowerCapMeetsCapWhenFeasible)
 {
     double max_power =
         em.systemPower(prof, FreqConfig::allMax(n()));
     double cap = max_power * 0.8;
-    PowerCapPolicy policy(cap);
+    FastCapPolicy policy = powerCap(n(), cap);
     FreqConfig pick =
         policy.decide(prof, em, FreqConfig::allMax(n()), tickPerMs);
     EXPECT_LE(em.systemPower(prof, pick), cap);
     EXPECT_FALSE(policy.lastDecisionOverCap());
+    // It keeps PowerCap's name and the audit layer's default bound,
+    // whatever gamma it was built with.
+    EXPECT_EQ(policy.name(), "PowerCap");
+    EXPECT_DOUBLE_EQ(policy.slackGamma(), 0.10);
 }
 
 TEST_F(PolicyFixture, PowerCapNoThrottleWhenAlreadyUnder)
 {
     double max_power =
         em.systemPower(prof, FreqConfig::allMax(n()));
-    PowerCapPolicy policy(max_power * 1.1);
+    FastCapPolicy policy = powerCap(n(), max_power * 1.1);
     FreqConfig pick =
         policy.decide(prof, em, FreqConfig::allMax(n()), tickPerMs);
     EXPECT_EQ(pick.memIdx, 0);
@@ -374,7 +385,7 @@ TEST_F(PolicyFixture, PowerCapNoThrottleWhenAlreadyUnder)
 
 TEST_F(PolicyFixture, PowerCapReportsInfeasibleCap)
 {
-    PowerCapPolicy policy(1.0);  // 1 W: impossible
+    FastCapPolicy policy = powerCap(n(), 1.0);  // 1 W: impossible
     FreqConfig pick =
         policy.decide(prof, em, FreqConfig::allMax(n()), tickPerMs);
     EXPECT_TRUE(policy.lastDecisionOverCap());
@@ -390,7 +401,7 @@ TEST_F(PolicyFixture, PowerCapPrefersCheapPerformance)
     // least performance, keeping relative time modest.
     double max_power =
         em.systemPower(prof, FreqConfig::allMax(n()));
-    PowerCapPolicy policy(max_power * 0.85);
+    FastCapPolicy policy = powerCap(n(), max_power * 0.85);
     FreqConfig pick =
         policy.decide(prof, em, FreqConfig::allMax(n()), tickPerMs);
     EXPECT_LT(em.relativeTime(prof, pick), 1.2);

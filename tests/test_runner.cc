@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "policy/coscale_policy.hh"
-#include "policy/power_cap.hh"
+#include "policy/fastcap.hh"
 #include "sim/runner.hh"
 
 namespace coscale {
@@ -110,8 +110,11 @@ TEST(Runner, PowerCapHoldsOverWholeRun)
     double peak_w =
         base.totalEnergyJ() / ticksToSeconds(base.finishTick);
     double cap = peak_w * 0.85;
-    PowerCapPolicy policy(cap);
+    FastCapPolicy policy(cfg.numCores, cfg.gamma, cap, false);
     RunResult r = coscale::run(RunRequest::forMix(cfg, mixByName("MID4")).with(policy));
+    // PowerCap keeps no slack ledger.
+    for (int i = 0; i < policy.slack().size(); ++i)
+        EXPECT_EQ(policy.slack().slackSecs(i), 0.0);
     double avg_w = r.totalEnergyJ() / ticksToSeconds(r.finishTick);
     EXPECT_LE(avg_w, cap * 1.03);
     // Capping costs performance but not catastrophically.

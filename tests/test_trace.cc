@@ -245,9 +245,9 @@ TEST(TraceHandle, CopyMidRingContinuesTheStream)
     SyntheticTraceSource ref(simpleApp(), 0, 21);
     TraceHandle h(std::make_unique<SyntheticTraceSource>(simpleApp(), 0,
                                                          21));
-    // Stop partway round the ring, so a copy must carry both the
-    // records generated ahead and the slot it is at.
-    for (int i = 0; i < TraceHandle::lookahead + 3; ++i)
+    // Stop mid-stream, so a copy must carry the record generated
+    // ahead as well as the source's position.
+    for (int i = 0; i < 4; ++i)
         expectSameRecord(h.next(), ref.next());
 
     TraceHandle copy = h;
@@ -255,7 +255,7 @@ TEST(TraceHandle, CopyMidRingContinuesTheStream)
     assigned = h;
     SyntheticTraceSource ref_copy = ref;
     SyntheticTraceSource ref_assigned = ref;
-    const int n = 3 * TraceHandle::lookahead + 5;
+    const int n = 8;
     for (int i = 0; i < n; ++i)
         expectSameRecord(copy.next(), ref_copy.next());
     for (int i = 0; i < n; ++i)
