@@ -106,35 +106,16 @@ printOutcome(const exp::SimOptions &opt, const SystemConfig &cfg,
     }
 }
 
-/** Cluster mode: build the fleet, run it, print/emit per scope. */
-int
-runCluster(const exp::SimOptions &opt)
+/**
+ * The fleet flags the cluster layer checks (--lb, --churn, --arrival)
+ * read into a ClusterConfig; a bad one is fatal, naming the flag.
+ * main() reads them in every mode, so a bad fleet flag fails even
+ * without --nodes.
+ */
+cluster::ClusterConfig
+fleetFlags(const exp::SimOptions &opt)
 {
-    if (opt.mix == "all")
-        fatal("--mix all is a single-node sweep; cluster mode runs "
-              "one mix per fleet (pick one)");
-
     cluster::ClusterConfig ccfg;
-    ccfg.numNodes = opt.nodes;
-    exp::SimOptions nopt = opt;
-    nopt.cores = opt.nodeCores;
-    ccfg.node = makeConfig(nopt);
-    // Node-sizing, as cluster::makeNodeConfig: no warmup (a warming
-    // node runs all-max through any cap) and a one-channel memory
-    // system (a 2-core node with the 16-core server's four channels
-    // would be all background power).
-    ccfg.node.warmupEpochs = 0;
-    ccfg.node.geom.channels = 1;
-    ccfg.node.geom.dimmsPerChannel = 1;
-    ccfg.node.power.geom = ccfg.node.geom;
-    ccfg.mix = opt.mix;
-    ccfg.policy = opt.policy;
-    ccfg.budgetW = opt.powerCap;
-    ccfg.epochs = opt.clusterEpochs;
-    ccfg.seed = opt.seed;
-    ccfg.faults = opt.faults;
-    ccfg.jobs = opt.jobs;
-    // The cluster layer checks these three, so name the flag here.
     const char *flag = "--lb";
     try {
         ccfg.lb = cluster::parseLbPolicy(opt.lb);
@@ -142,16 +123,39 @@ runCluster(const exp::SimOptions &opt)
         if (!opt.churn.empty())
             ccfg.churn = cluster::parseChurnSpec(opt.churn);
         flag = "--arrival";
-        if (!opt.arrival.empty()) {
+        if (!opt.arrival.empty())
             ccfg.arrival = cluster::parseArrivalSpec(opt.arrival);
-        } else {
-            double epoch_secs = ticksToSeconds(ccfg.node.epochLen);
-            ccfg.arrival.ratePerSec =
-                1.5 * static_cast<double>(opt.nodes) / epoch_secs;
-            ccfg.arrival.sloSecs = 6.0 * epoch_secs;
-        }
     } catch (const std::exception &e) {
         fatal("option %s: %s", flag, e.what());
+    }
+    return ccfg;
+}
+
+/** Cluster mode: build the fleet, run it, print/emit per scope. */
+int
+runCluster(const exp::SimOptions &opt, cluster::ClusterConfig ccfg)
+{
+    if (opt.mix == "all")
+        fatal("--mix all is a single-node sweep; cluster mode runs "
+              "one mix per fleet (pick one)");
+
+    ccfg.numNodes = opt.nodes;
+    exp::SimOptions nopt = opt;
+    nopt.cores = opt.nodeCores;
+    ccfg.node = makeConfig(nopt);
+    cluster::sizeAsNode(ccfg.node);
+    ccfg.mix = opt.mix;
+    ccfg.policy = opt.policy;
+    ccfg.budgetW = opt.powerCap;
+    ccfg.epochs = opt.clusterEpochs;
+    ccfg.seed = opt.seed;
+    ccfg.faults = opt.faults;
+    ccfg.jobs = opt.jobs;
+    if (opt.arrival.empty()) {
+        double epoch_secs = ticksToSeconds(ccfg.node.epochLen);
+        ccfg.arrival.ratePerSec =
+            1.5 * static_cast<double>(opt.nodes) / epoch_secs;
+        ccfg.arrival.sloSecs = 6.0 * epoch_secs;
     }
 
     std::unique_ptr<TraceSink> sink;
@@ -262,8 +266,9 @@ main(int argc, char **argv)
         exp::printPolicyRoster();
         return 0;
     }
+    cluster::ClusterConfig fleet = fleetFlags(opt);
     if (opt.nodes > 0)
-        return runCluster(opt);
+        return runCluster(opt, fleet);
     SystemConfig cfg = makeConfig(opt);
 
     PolicyFactory factory = exp::policyFactoryByName(

@@ -60,14 +60,9 @@ lbPolicyName(LbPolicy lb)
     return "?";
 }
 
-SystemConfig
-makeNodeConfig(double scale, int cores)
+void
+sizeAsNode(SystemConfig &c)
 {
-    SystemConfig c = makeScaledConfig(scale);
-    COSCALE_CHECK(cores >= 1 && cores <= c.numCores,
-                  "node cores must be in [1, %d]", c.numCores);
-    c.numCores = cores;
-    c.power.numCores = cores;
     // Node-sized memory system: one channel, one DIMM. The 16-core
     // server's four-channel background power would swamp a small
     // node's dynamic range and leave nothing for a cap to trade.
@@ -80,6 +75,17 @@ makeNodeConfig(double scale, int cores)
     // 16 ways) would otherwise open the partition gate under CI's
     // COSCALE_KNOB_LLC_WAYS=1 leg and break the cluster goldens.
     c.knobs.llcWays = false;
+}
+
+SystemConfig
+makeNodeConfig(double scale, int cores)
+{
+    SystemConfig c = makeScaledConfig(scale);
+    COSCALE_CHECK(cores >= 1 && cores <= c.numCores,
+                  "node cores must be in [1, %d]", c.numCores);
+    c.numCores = cores;
+    c.power.numCores = cores;
+    sizeAsNode(c);
     return c;
 }
 
@@ -127,11 +133,9 @@ ClusterSim::ClusterSim(const ClusterConfig &cfg_in)
         // Safe boot: a capped fleet starts all-min, so epoch 0 (which
         // profiles under the boot configuration) stays under any
         // feasible budget instead of opening flat-out at all-max.
-        FreqConfig low;
-        low.coreIdx.assign(
-            static_cast<size_t>(cfg.node.numCores),
-            cfg.node.coreLadder.size() - 1);
-        low.memIdx = cfg.node.memLadder.size() - 1;
+        FreqConfig low = FreqConfig::allMin(cfg.node.numCores,
+                                            cfg.node.coreLadder.size(),
+                                            cfg.node.memLadder.size());
         for (std::unique_ptr<NodeSim> &nd : nodes)
             nd->presetConfig(low);
     }
@@ -690,14 +694,7 @@ ClusterSim::run()
     for (const std::unique_ptr<NodeSim> &nd : nodes) {
         r.finalQueued += nd->queuedRequests();
         r.totalEvents += nd->eventsDispatched();
-        fault::FaultSummary fs = nd->faultSummary();
-        r.faults.noisyEpochs += fs.noisyEpochs;
-        r.faults.staleProfiles += fs.staleProfiles;
-        r.faults.counterDropouts += fs.counterDropouts;
-        r.faults.transitionsDenied += fs.transitionsDenied;
-        r.faults.transitionsDelayed += fs.transitionsDelayed;
-        r.faults.transitionsClamped += fs.transitionsClamped;
-        r.faults.jitteredEpochs += fs.jitteredEpochs;
+        r.faults += nd->faultSummary();
     }
     return r;
 }
@@ -723,20 +720,8 @@ writeClusterJsonReport(const ClusterConfig &cfg,
     j.field("final_queued", result.finalQueued);
     j.field("worst_power_w", result.worstPowerW);
     j.field("cap_violation_epochs", result.capViolationEpochs);
-    if (cfg.faults.enabled()) {
-        j.beginObject("faults");
-        j.field("noisy_epochs", result.faults.noisyEpochs);
-        j.field("stale_profiles", result.faults.staleProfiles);
-        j.field("counter_dropouts", result.faults.counterDropouts);
-        j.field("transitions_denied",
-                result.faults.transitionsDenied);
-        j.field("transitions_delayed",
-                result.faults.transitionsDelayed);
-        j.field("transitions_clamped",
-                result.faults.transitionsClamped);
-        j.field("jittered_epochs", result.faults.jitteredEpochs);
-        j.endObject();
-    }
+    if (cfg.faults.enabled())
+        result.faults.writeJson(j);
     if (cfg.churn.enabled()) {
         j.beginObject("churn");
         j.field("spec", formatChurnSpec(cfg.churn));

@@ -76,9 +76,17 @@ std::vector<std::uint64_t> largestRemainderSplit(
     std::uint64_t rotation, bool rotate_leftovers);
 
 /**
+ * Size @p c as a fleet node, keeping its core count: a one-channel,
+ * one-DIMM memory system, warmup disabled (a warming node runs
+ * all-max, which would blow through any grant at cluster epoch 0),
+ * and the DVFS-only knob space. Every fleet front end sizes its nodes
+ * through this.
+ */
+void sizeAsNode(SystemConfig &c);
+
+/**
  * A node SystemConfig sized for fleet runs: makeScaledConfig(scale)
- * shrunk to @p cores cores, warmup disabled (a warming node runs
- * all-max, which would blow through any grant at cluster epoch 0).
+ * shrunk to @p cores cores, then sizeAsNode().
  */
 SystemConfig makeNodeConfig(double scale = 0.05, int cores = 2);
 

@@ -80,10 +80,8 @@ NodeSim::advanceEpoch(double granted_cap_w)
     out.predictedW = std::isfinite(pred) ? pred : out.avgPowerW;
     int n = sys.numCores();
     FreqConfig all_max = FreqConfig::allMax(n);
-    FreqConfig all_min;
-    all_min.coreIdx.assign(static_cast<size_t>(n),
-                           em.cores().size() - 1);
-    all_min.memIdx = em.mem().size() - 1;
+    FreqConfig all_min =
+        FreqConfig::allMin(n, em.cores().size(), em.mem().size());
     double min_w = em.systemPower(st.obs.epochProfile, all_min);
     double max_w = em.systemPower(st.obs.epochProfile, all_max);
     if (std::isfinite(min_w))
@@ -129,12 +127,8 @@ NodeSim::beginEpoch()
             // The workload state survives (warm reboot), but the
             // machine comes back at its power floor and ramps.
             const EnergyModel &em = driver.energyModel();
-            FreqConfig low;
-            low.coreIdx.assign(
-                static_cast<size_t>(sys.numCores()),
-                em.cores().size() - 1);
-            low.memIdx = em.mem().size() - 1;
-            sys.applyConfig(low);
+            sys.applyConfig(FreqConfig::allMin(
+                sys.numCores(), em.cores().size(), em.mem().size()));
             rampLeft = pendingRamp;
             phaseNow = rampLeft > 0 ? NodePhase::Ramping
                                     : NodePhase::Up;

@@ -52,9 +52,6 @@ struct BenchOptions
     /** Per-run wall-clock watchdog in seconds (--timeout; 0 = off). */
     double timeoutSecs = 0.0;
 
-    /** Retry attempts after a failed run (--retries; 0 = fail fast). */
-    int retries = 0;
-
     /**
      * Memory backend picked by --mem-sched / --row-policy /
      * --dram-standard; memBackendSet records whether any of the three

@@ -19,7 +19,6 @@
 #include "common/log.hh"
 #include "common/number_parse.hh"
 #include "common/thread_annotations.hh"
-#include "exp/digest.hh"
 
 namespace coscale {
 namespace exp {
@@ -41,6 +40,12 @@ demangled(const char *name)
     return name;
 }
 
+/** The watchdog gave up on a run wedged inside an epoch. */
+struct WatchdogKill : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
 /**
  * Format the in-flight exception with the request label and dynamic
  * exception type — a batch report that just says "boom" is useless
@@ -52,11 +57,106 @@ describeCurrentException(const std::string &label)
     std::string prefix = "request '" + label + "': ";
     try {
         throw;
+    } catch (const WatchdogKill &e) {
+        return prefix + e.what();
     } catch (const std::exception &e) {
         return prefix + demangled(typeid(e).name()) + ": " + e.what();
     } catch (...) {
         return prefix + "unknown non-standard exception";
     }
+}
+
+/**
+ * coscale::run(req) under a wall-clock budget: run on a helper
+ * thread, wait up to @p budget_secs, then flip the request's cancel
+ * flag and give the epoch loop one grace period to unwind
+ * cooperatively. Sets @p timed_out when the run was cancelled, and
+ * throws WatchdogKill when it stayed wedged. State is
+ * shared_ptr-owned so the rare truly-wedged (detached) simulation can
+ * never touch freed memory.
+ */
+RunResult
+runWatched(const RunRequest &req, double budget_secs, bool &timed_out)
+{
+    struct Shared
+    {
+        Mutex mu;
+        CondVar cv;
+        bool done COSCALE_GUARDED_BY(mu) = false;
+        bool ok COSCALE_GUARDED_BY(mu) = false;
+        RunResult result COSCALE_GUARDED_BY(mu);
+        std::exception_ptr error COSCALE_GUARDED_BY(mu);
+        std::atomic<bool> cancel{false};
+    };
+    auto sh = std::make_shared<Shared>();
+    RunRequest guarded = req;
+    guarded.cancelFlag = &sh->cancel;
+
+    std::thread runner([sh, guarded] {
+        std::exception_ptr err;
+        RunResult r;
+        bool ok = false;
+        try {
+            r = coscale::run(guarded);
+            ok = true;
+        } catch (...) {
+            err = std::current_exception();
+        }
+        {
+            MutexLock lock(sh->mu);
+            sh->result = std::move(r);
+            sh->ok = ok;
+            sh->error = err;
+            sh->done = true;
+        }
+        sh->cv.notify_all();
+    });
+
+    auto budget = std::chrono::duration<double>(budget_secs);
+    bool finished;
+    {
+        MutexLock lock(sh->mu);
+        auto deadline = std::chrono::steady_clock::now() + budget;
+        while (!sh->done
+               && sh->cv.waitUntil(sh->mu, deadline)
+                      != std::cv_status::timeout) {
+        }
+        finished = sh->done;
+        if (!finished) {
+            sh->cancel.store(true, std::memory_order_relaxed);
+            // Grace period for the cooperative epoch-boundary exit;
+            // simulated epochs are short in host time, so one more
+            // budget's worth is generous.
+            deadline = std::chrono::steady_clock::now() + budget;
+            while (!sh->done
+                   && sh->cv.waitUntil(sh->mu, deadline)
+                          != std::cv_status::timeout) {
+            }
+            finished = sh->done;
+        }
+    }
+
+    if (!finished) {
+        // Wedged inside an epoch (e.g. a policy stuck in decide()).
+        // The thread keeps the shared state alive; abandon it rather
+        // than block the whole batch.
+        runner.detach();
+        timed_out = true;
+        throw WatchdogKill("killed by watchdog after "
+                           + std::to_string(budget_secs)
+                           + "s (simulation unresponsive)");
+    }
+
+    runner.join();
+    // The join() already synchronizes, but take the lock anyway: it
+    // costs nothing uncontended and keeps every guarded access
+    // visible to the static analysis.
+    MutexLock lock(sh->mu);
+    if (!sh->ok) {
+        timed_out = sh->cancel.load(std::memory_order_relaxed);
+        std::rethrow_exception(sh->error);
+    }
+    return std::move(sh->result);
 }
 
 } // namespace
@@ -158,54 +258,13 @@ ExperimentEngine::pool() const
     return options.pool ? *options.pool : processBaselinePool();
 }
 
-std::string
-ExperimentEngine::quarantineKey(const RunRequest &req) const
+RunOutcome
+ExperimentEngine::runOne(const RunRequest &req, std::size_t index) const
 {
-    // Identity, not object: retried and re-submitted copies of the
-    // same experiment share a key, unrelated requests never collide.
-    return req.label + "/"
-           + std::to_string(configDigest(req.effectiveConfig())) + "/"
-           + std::to_string(workloadDigest(req.apps));
-}
-
-bool
-ExperimentEngine::quarantineExpired(const QuarantineEntry &e) const
-{
-    if (options.quarantineResetSecs <= 0.0)
-        return false;
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - e.last)
-               .count()
-           >= options.quarantineResetSecs;
-}
-
-std::vector<std::string>
-ExperimentEngine::quarantinedKeys()
-{
-    std::vector<std::string> keys;
-    if (options.quarantineAfter <= 0)
-        return keys;
-    MutexLock lock(quarantineMu);
-    for (const auto &kv : exhaustedFailures) {
-        if (kv.second.count >= options.quarantineAfter
-            && !quarantineExpired(kv.second)) {
-            keys.push_back(kv.first); // map order: already sorted
-        }
-    }
-    return keys;
-}
-
-void
-ExperimentEngine::resetQuarantine()
-{
-    MutexLock lock(quarantineMu);
-    exhaustedFailures.clear();
-}
-
-ExperimentEngine::Attempt
-ExperimentEngine::runAttempt(const RunRequest &req)
-{
-    Attempt a;
+    RunOutcome out;
+    out.index = index;
+    out.label = req.label;
+    auto t0 = std::chrono::steady_clock::now();
     try {
         if (!req.makePolicy) {
             throw std::invalid_argument(
@@ -215,171 +274,18 @@ ExperimentEngine::runAttempt(const RunRequest &req)
                       "across worker threads"
                     : "RunRequest has no policy factory");
         }
-
-        if (options.timeoutSecs <= 0.0) {
-            a.result = coscale::run(req);
-            a.ok = true;
-            return a;
+        out.result = options.timeoutSecs > 0.0
+                         ? runWatched(req, options.timeoutSecs,
+                                      out.timedOut)
+                         : coscale::run(req);
+        if (req.wantBaseline) {
+            out.baseline = &pool().baseline(req);
+            out.vsBaseline = compare(*out.baseline, out.result);
+            out.hasBaseline = true;
         }
-
-        // Watchdogged attempt: run on a helper thread, wait up to the
-        // budget, then flip the request's cancel flag and give the
-        // epoch loop one grace period to unwind cooperatively. State
-        // is shared_ptr-owned so the rare truly-wedged (detached)
-        // simulation can never touch freed memory.
-        struct Shared
-        {
-            Mutex mu;
-            CondVar cv;
-            bool done COSCALE_GUARDED_BY(mu) = false;
-            bool ok COSCALE_GUARDED_BY(mu) = false;
-            RunResult result COSCALE_GUARDED_BY(mu);
-            std::exception_ptr error COSCALE_GUARDED_BY(mu);
-            std::atomic<bool> cancel{false};
-        };
-        auto sh = std::make_shared<Shared>();
-        RunRequest guarded = req;
-        guarded.cancelFlag = &sh->cancel;
-
-        std::thread runner([sh, guarded] {
-            std::exception_ptr err;
-            RunResult r;
-            bool ok = false;
-            try {
-                r = coscale::run(guarded);
-                ok = true;
-            } catch (...) {
-                err = std::current_exception();
-            }
-            {
-                MutexLock lock(sh->mu);
-                sh->result = std::move(r);
-                sh->ok = ok;
-                sh->error = err;
-                sh->done = true;
-            }
-            sh->cv.notify_all();
-        });
-
-        auto budget = std::chrono::duration<double>(options.timeoutSecs);
-        bool finished;
-        {
-            MutexLock lock(sh->mu);
-            auto deadline = std::chrono::steady_clock::now() + budget;
-            while (!sh->done
-                   && sh->cv.waitUntil(sh->mu, deadline)
-                          != std::cv_status::timeout) {
-            }
-            finished = sh->done;
-            if (!finished) {
-                sh->cancel.store(true, std::memory_order_relaxed);
-                // Grace period for the cooperative epoch-boundary
-                // exit; simulated epochs are short in host time, so
-                // one more budget's worth is generous.
-                deadline = std::chrono::steady_clock::now() + budget;
-                while (!sh->done
-                       && sh->cv.waitUntil(sh->mu, deadline)
-                              != std::cv_status::timeout) {
-                }
-                finished = sh->done;
-            }
-        }
-
-        if (!finished) {
-            // Wedged inside an epoch (e.g. a policy stuck in
-            // decide()). The thread keeps the shared state alive;
-            // abandon it rather than block the whole batch.
-            runner.detach();
-            a.timedOut = true;
-            a.error = "request '" + req.label
-                      + "': killed by watchdog after "
-                      + std::to_string(options.timeoutSecs)
-                      + "s (simulation unresponsive)";
-            return a;
-        }
-
-        runner.join();
-        // The join() already synchronizes, but take the lock anyway:
-        // it costs nothing uncontended and keeps every guarded access
-        // visible to the static analysis.
-        MutexLock lock(sh->mu);
-        if (sh->ok) {
-            a.result = std::move(sh->result);
-            a.ok = true;
-            return a;
-        }
-        a.timedOut = sh->cancel.load(std::memory_order_relaxed);
-        std::rethrow_exception(sh->error);
+        out.ok = true;
     } catch (...) {
-        a.error = describeCurrentException(req.label);
-    }
-    return a;
-}
-
-RunOutcome
-ExperimentEngine::runOne(const RunRequest &req, std::size_t index)
-{
-    RunOutcome out;
-    out.index = index;
-    out.label = req.label;
-    auto t0 = std::chrono::steady_clock::now();
-
-    std::string key = quarantineKey(req);
-    if (options.quarantineAfter > 0) {
-        MutexLock lock(quarantineMu);
-        auto it = exhaustedFailures.find(key);
-        if (it != exhaustedFailures.end()) {
-            if (quarantineExpired(it->second)) {
-                // Strikes aged out: parole the identity and let it
-                // prove itself with a fresh record.
-                exhaustedFailures.erase(it);
-            } else if (it->second.count >= options.quarantineAfter) {
-                out.quarantined = true;
-                out.error = "request '" + req.label
-                            + "': quarantined after "
-                            + std::to_string(it->second.count)
-                            + " exhausted failures";
-                return out;
-            }
-        }
-    }
-
-    int max_attempts = 1 + (options.retries > 0 ? options.retries : 0);
-    for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-        out.attempts = attempt;
-        if (attempt > 1 && options.backoffSecs > 0.0) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                options.backoffSecs * (attempt - 1)));
-        }
-        Attempt a = runAttempt(req);
-        out.timedOut = a.timedOut;
-        if (a.ok) {
-            out.result = std::move(a.result);
-            out.error.clear();
-            out.ok = true;
-            break;
-        }
-        out.error = a.error;
-    }
-
-    if (out.ok) {
-        try {
-            if (req.wantBaseline) {
-                out.baseline = &pool().baseline(req);
-                out.vsBaseline = compare(*out.baseline, out.result);
-                out.hasBaseline = true;
-            }
-        } catch (...) {
-            out.ok = false;
-            out.error = describeCurrentException(req.label);
-        }
-    }
-
-    if (!out.ok && !out.quarantined && options.quarantineAfter > 0) {
-        MutexLock lock(quarantineMu);
-        QuarantineEntry &e = exhaustedFailures[key];
-        e.count += 1;
-        e.last = std::chrono::steady_clock::now();
+        out.error = describeCurrentException(req.label);
     }
 
     out.wallSecs = std::chrono::duration<double>(
@@ -394,7 +300,7 @@ ExperimentEngine::runOne(const RunRequest &req, std::size_t index)
 }
 
 std::vector<RunOutcome>
-ExperimentEngine::run(const std::vector<RunRequest> &requests)
+ExperimentEngine::run(const std::vector<RunRequest> &requests) const
 {
     std::vector<RunOutcome> outcomes(requests.size());
     if (requests.empty())

@@ -18,27 +18,20 @@
  * label and the exception's (demangled) type so a batch report is
  * actionable on its own.
  *
- * Production hardening (all off by default):
- *  - per-run wall-clock watchdog (timeoutSecs): a run that exceeds
- *    the budget is cancelled cooperatively at its next epoch boundary
- *    and reported ok = false / timedOut;
- *  - bounded retry with backoff (retries/backoffSecs) for transient
- *    failures, with the attempt count in the outcome;
- *  - quarantine: a request identity that keeps failing after all its
- *    retries is short-circuited for the rest of the process.
+ * Watchdog (off by default): with timeoutSecs set, a run that exceeds
+ * the budget is cancelled cooperatively at its next epoch boundary
+ * and reported ok = false / timedOut. A failed run is never retried:
+ * it would fail the same way again.
  */
 
 #ifndef COSCALE_EXP_ENGINE_HH
 #define COSCALE_EXP_ENGINE_HH
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
-#include "common/thread_annotations.hh"
 #include "exp/baseline_pool.hh"
 #include "sim/runner.hh"
 
@@ -91,28 +84,6 @@ struct EngineOptions
      * leaves a worker thread wedged mid-epoch.
      */
     double timeoutSecs = 0.0;
-
-    /** Extra attempts after a failed first one (0 = fail fast). */
-    int retries = 0;
-
-    /** Host-side sleep before attempt k+1 (scaled by k). */
-    double backoffSecs = 0.05;
-
-    /**
-     * After this many fully-exhausted failures of one request
-     * identity (label + config digest + workload digest), identical
-     * requests are refused without running. 0 disables quarantine.
-     */
-    int quarantineAfter = 3;
-
-    /**
-     * Host seconds after which an identity's failure strikes expire:
-     * a request whose last exhausted failure is older than this runs
-     * again with a clean record (transient-environment recovery
-     * without restarting the engine). 0 = strikes never expire;
-     * resetQuarantine() clears everything immediately either way.
-     */
-    double quarantineResetSecs = 0.0;
 };
 
 /** Outcome of one request in a batch (index = request position). */
@@ -125,14 +96,8 @@ struct RunOutcome
 
     RunResult result;        //!< valid when ok
 
-    /** Execution attempts consumed (>= 1 unless quarantined). */
-    int attempts = 0;
-
-    /** Last attempt was killed by the wall-clock watchdog. */
+    /** The run was killed by the wall-clock watchdog. */
     bool timedOut = false;
-
-    /** Refused without running: identity failed too often before. */
-    bool quarantined = false;
 
     /**
      * Host wall-clock seconds spent executing this request (including
@@ -157,61 +122,20 @@ class ExperimentEngine
      * must carry a policy factory; borrowed Policy instances are
      * rejected per request (they are not thread-safe to share).
      */
-    std::vector<RunOutcome> run(const std::vector<RunRequest> &requests);
+    std::vector<RunOutcome>
+    run(const std::vector<RunRequest> &requests) const;
 
     /** Execute one request with engine semantics (never throws). */
-    RunOutcome runOne(const RunRequest &req, std::size_t index = 0);
+    RunOutcome runOne(const RunRequest &req, std::size_t index = 0) const;
 
     /** Resolved worker count. */
     int jobs() const { return jobCount; }
 
     BaselinePool &pool() const;
 
-    /**
-     * Request identities currently refused by quarantine (strike
-     * count at the threshold and, with quarantineResetSecs set, not
-     * yet expired), sorted. Batch harnesses append these to the JSONL
-     * summary so a refused identity is visible without grepping for
-     * individual "quarantined" outcome lines.
-     */
-    std::vector<std::string> quarantinedKeys();
-
-    /** Forgive every identity: clear all quarantine strikes. */
-    void resetQuarantine();
-
   private:
-    struct Attempt
-    {
-        bool ok = false;
-        bool timedOut = false;
-        std::string error;
-        RunResult result;
-    };
-
-    /** Strike record for one request identity. */
-    struct QuarantineEntry
-    {
-        int count = 0;
-
-        /** Host time of the last exhausted failure (expiry clock). */
-        std::chrono::steady_clock::time_point last;
-    };
-
-    Attempt runAttempt(const RunRequest &req);
-    std::string quarantineKey(const RunRequest &req) const;
-
-    /** Strikes expired? (reset knob armed and the record is old.) */
-    bool quarantineExpired(const QuarantineEntry &e) const;
-
     EngineOptions options;
     int jobCount;
-
-    // Exhausted-failure records per request identity (see
-    // EngineOptions::quarantineAfter). Engine-local on purpose: a
-    // fresh engine starts with a clean slate.
-    Mutex quarantineMu;
-    std::map<std::string, QuarantineEntry> exhaustedFailures
-        COSCALE_GUARDED_BY(quarantineMu);
 };
 
 } // namespace exp

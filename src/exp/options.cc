@@ -121,6 +121,21 @@ oneOf(std::vector<std::string> names, std::string *out)
     };
 }
 
+/**
+ * A Setter for a key=value spec (--arrival, --churn): any text but
+ * the empty one, which front ends would otherwise read as unset.
+ */
+Setter
+spec(std::string *out)
+{
+    return [out](const std::string &v) {
+        if (v.empty())
+            return false;
+        *out = v;
+        return true;
+    };
+}
+
 std::vector<std::string>
 mixNames(bool withAll)
 {
@@ -164,7 +179,6 @@ addBenchRows(OptionTable &t, BenchOptions &o)
     t.add({"--metrics", "", &o.metrics, "print each run's metrics"});
     t.add({"--timeout", "SECS", &o.timeoutSecs, "per-run watchdog; 0 = off",
            {0.0}});
-    t.add({"--retries", "N", &o.retries, "retries of a failed run", kCount});
     t.add({"--mem-sched", "fcfs|frfcfs",
            backend(parseMemSched, &mem.sched, &o.memBackendSet),
            "channel scheduler (paper: fcfs)"});
@@ -400,10 +414,10 @@ simOptionTable(SimOptions &o)
            {0.0}});
     t.add({"--cluster-epochs", "E", &o.clusterEpochs, "cluster epochs",
            kPositive});
-    t.add({"--arrival", "SPEC", &o.arrival,
+    t.add({"--arrival", "SPEC", spec(&o.arrival),
            "request stream: rate,diurnal,period,burst,burstx,ipr,slo,seed=V"});
     t.add({"--lb", "NAME", &o.lb, "balancer: rr, least-loaded, weighted"});
-    t.add({"--churn", "SPEC", &o.churn,
+    t.add({"--churn", "SPEC", spec(&o.churn),
            "churn plan: crash,reboot,ramp,flap,hang,hangx,blackout,"
            "blackoutx,suspect,dead,seed=V"});
     return t;
@@ -430,7 +444,7 @@ clusterBenchOptionTable(ClusterBenchOptions &o)
     t.add({"--jobs", "J", &o.jobs, "fan-out threads; 0 = auto", kCount});
     t.add({"--mix", "MIX", oneOf(mixNames(false), &o.mix),
            "each node's Table 1 mix"});
-    t.add({"--arrival", "SPEC", &o.arrival, "request stream"});
+    t.add({"--arrival", "SPEC", spec(&o.arrival), "request stream"});
     t.add({"--fracs", "a,b,c",
            [&o](const std::string &v) {
                std::vector<double> fracs;
@@ -448,7 +462,7 @@ clusterBenchOptionTable(ClusterBenchOptions &o)
            },
            "budgets in [0, 1] of the floor-to-draw band "
            "(default 0.85,0.7,0.55)"});
-    t.add({"--churn", "SPEC", &o.churn, "add a churned FastCap leg"});
+    t.add({"--churn", "SPEC", spec(&o.churn), "add a churned FastCap leg"});
     t.add({"--csv-out", "PATH", &o.csvOut, "per-run CSV"});
     t.add({"--json-out", "PATH", &o.jsonOut, "JSON trajectory"});
     return t;

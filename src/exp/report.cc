@@ -18,12 +18,9 @@ writeJsonlReport(const std::vector<RunOutcome> &outcomes,
 {
     for (const RunOutcome &out : outcomes) {
         if (out.ok) {
-            // Attempt counts are host-dependent, so they only appear
-            // (attempts > 1) when a retry actually happened — a
-            // clean deterministic batch stays byte-stable.
             writeJsonReport(out.result,
                             out.hasBaseline ? &out.vsBaseline : nullptr,
-                            os, out.attempts > 1 ? out.attempts : 0);
+                            os);
         } else {
             JsonWriter w(os);
             w.beginObject();
@@ -31,14 +28,8 @@ writeJsonlReport(const std::vector<RunOutcome> &outcomes,
                     static_cast<std::uint64_t>(out.index));
             w.field("label", out.label);
             w.field("error", out.error);
-            if (out.attempts > 0) {
-                w.field("attempts",
-                        static_cast<std::uint64_t>(out.attempts));
-            }
             if (out.timedOut)
                 w.field("timed_out", true);
-            if (out.quarantined)
-                w.field("quarantined", true);
             w.endObject();
             os << "\n";
         }
@@ -56,34 +47,6 @@ appendJsonlReport(const std::vector<RunOutcome> &outcomes,
         fatal("cannot open '%s' for JSONL output", path.c_str());
     writeJsonlReport(outcomes, os);
     return outcomes.size();
-}
-
-void
-writeQuarantineSummary(const std::vector<std::string> &keys,
-                       std::ostream &os)
-{
-    if (keys.empty())
-        return;
-    JsonWriter w(os);
-    w.beginObject();
-    w.beginArray("quarantined_keys");
-    for (const std::string &key : keys)
-        w.value(key);
-    w.endArray();
-    w.endObject();
-    os << "\n";
-}
-
-void
-appendQuarantineSummary(const std::vector<std::string> &keys,
-                        const std::string &path)
-{
-    if (keys.empty() || path.empty())
-        return;
-    std::ofstream os(path, std::ios::app);
-    if (!os)
-        fatal("cannot open '%s' for JSONL output", path.c_str());
-    writeQuarantineSummary(keys, os);
 }
 
 std::size_t
@@ -122,11 +85,9 @@ runBatch(const BenchOptions &opts, const std::vector<RunRequest> &requests)
     engineOpts.jobs = opts.jobs;
     engineOpts.progress = opts.progress;
     engineOpts.timeoutSecs = opts.timeoutSecs;
-    engineOpts.retries = opts.retries;
     ExperimentEngine engine(engineOpts);
     std::vector<RunOutcome> outcomes = engine.run(prepared);
     appendJsonlReport(outcomes, opts.jsonlPath);
-    appendQuarantineSummary(engine.quarantinedKeys(), opts.jsonlPath);
     reportFailures(outcomes);
 
     if (opts.metrics) {

@@ -4,8 +4,24 @@
 #include <cmath>
 #include <limits>
 
+#include "common/json.hh"
+
 namespace coscale {
 namespace fault {
+
+void
+FaultSummary::writeJson(JsonWriter &j) const
+{
+    j.beginObject("faults");
+    j.field("noisy_epochs", noisyEpochs);
+    j.field("stale_profiles", staleProfiles);
+    j.field("counter_dropouts", counterDropouts);
+    j.field("transitions_denied", transitionsDenied);
+    j.field("transitions_delayed", transitionsDelayed);
+    j.field("transitions_clamped", transitionsClamped);
+    j.field("jittered_epochs", jitteredEpochs);
+    j.endObject();
+}
 
 namespace {
 

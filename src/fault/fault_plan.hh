@@ -19,6 +19,9 @@
 #include <cstdint>
 
 namespace coscale {
+
+class JsonWriter;
+
 namespace fault {
 
 /**
@@ -134,6 +137,22 @@ struct FaultSummary
                + transitionsDenied + transitionsDelayed
                + transitionsClamped + jitteredEpochs;
     }
+
+    FaultSummary &
+    operator+=(const FaultSummary &o)
+    {
+        noisyEpochs += o.noisyEpochs;
+        staleProfiles += o.staleProfiles;
+        counterDropouts += o.counterDropouts;
+        transitionsDenied += o.transitionsDenied;
+        transitionsDelayed += o.transitionsDelayed;
+        transitionsClamped += o.transitionsClamped;
+        jitteredEpochs += o.jitteredEpochs;
+        return *this;
+    }
+
+    /** The run and fleet reports' "faults" object, written into @p j. */
+    void writeJson(JsonWriter &j) const;
 };
 
 /**

@@ -61,6 +61,17 @@ struct KnobVector
         c.memIdx = 0;
         return c;
     }
+
+    /** Every core and the memory at the last (slowest) ladder step. */
+    static KnobVector
+    allMin(int num_cores, int core_steps, int mem_steps)
+    {
+        KnobVector c;
+        c.coreIdx.assign(static_cast<std::size_t>(num_cores),
+                         core_steps - 1);
+        c.memIdx = mem_steps - 1;
+        return c;
+    }
 };
 
 /** The knob families a dimension can belong to. */

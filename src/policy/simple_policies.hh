@@ -19,7 +19,10 @@
 
 namespace coscale {
 
-/** Shared base: honest slack accounting against all-max reference. */
+/**
+ * Shared base: honest slack accounting against all-max reference.
+ * Offline and Semi-coordinated keep the same ledger.
+ */
 class TrackedPolicy : public Policy
 {
   public:

@@ -105,18 +105,4 @@ SemiCoordinatedPolicy::decide(const SystemProfile &profile,
     return combined;
 }
 
-void
-SemiCoordinatedPolicy::observeEpoch(const EpochObservation &obs,
-                                    const EnergyModel &em)
-{
-    int n = static_cast<int>(obs.epochProfile.cores.size());
-    FreqConfig all_max = FreqConfig::allMax(n);
-    double secs = ticksToSeconds(obs.epochTicks);
-    for (int i = 0; i < n; ++i) {
-        double ref = em.tpi(obs.epochProfile, i, all_max);
-        tracker.update(appOf(obs.appOnCore, i), ref,
-                       obs.instrs[static_cast<size_t>(i)], secs);
-    }
-}
-
 } // namespace coscale

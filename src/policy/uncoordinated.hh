@@ -22,6 +22,7 @@
 
 #include "policy/policy.hh"
 #include "policy/search_common.hh"
+#include "policy/simple_policies.hh"
 
 namespace coscale {
 
@@ -51,7 +52,7 @@ class UncoordinatedPolicy final : public Policy
 };
 
 /** Semi-coordinated: shared slack, independent planning. */
-class SemiCoordinatedPolicy final : public Policy
+class SemiCoordinatedPolicy final : public TrackedPolicy
 {
   public:
     /** How the two managers are phased (Section 4.2.2). */
@@ -63,7 +64,7 @@ class SemiCoordinatedPolicy final : public Policy
 
     SemiCoordinatedPolicy(int num_apps, double gamma,
                           Phase phase = Phase::InPhase)
-        : tracker(num_apps, gamma), phase(phase)
+        : TrackedPolicy(num_apps, gamma), phase(phase)
     {
     }
 
@@ -72,17 +73,7 @@ class SemiCoordinatedPolicy final : public Policy
     FreqConfig decide(const SystemProfile &profile, const EnergyModel &em,
                       const FreqConfig &current, Tick epoch_len) override;
 
-    void observeEpoch(const EpochObservation &obs,
-                      const EnergyModel &em) override;
-
-    const SlackTracker &slack() const { return tracker; }
-
-    double slackGamma() const override { return tracker.gamma(); }
-
-    const SlackTracker *slackLedger() const override { return &tracker; }
-
   private:
-    SlackTracker tracker;   //!< shared, honest
     Phase phase;
     std::uint64_t epochNo = 0;
 };

@@ -511,14 +511,12 @@ compare(const RunResult &baseline, const RunResult &run)
 
 void
 writeJsonReport(const RunResult &run, const Comparison *vs_baseline,
-                std::ostream &os, int attempts)
+                std::ostream &os)
 {
     JsonWriter j(os);
     j.beginObject();
     j.field("mix", run.mixName);
     j.field("policy", run.policyName);
-    if (attempts > 0)
-        j.field("attempts", static_cast<std::uint64_t>(attempts));
     j.field("finish_seconds", ticksToSeconds(run.finishTick));
     j.field("total_instructions",
             static_cast<std::uint64_t>(run.totalInstrs));
@@ -536,15 +534,7 @@ writeJsonReport(const RunResult &run, const Comparison *vs_baseline,
     if (run.faultsEnabled) {
         // Injected-fault summary: deterministic (pure function of the
         // request's plan + seed), so it belongs in the report.
-        j.beginObject("faults");
-        j.field("noisy_epochs", run.faults.noisyEpochs);
-        j.field("stale_profiles", run.faults.staleProfiles);
-        j.field("counter_dropouts", run.faults.counterDropouts);
-        j.field("transitions_denied", run.faults.transitionsDenied);
-        j.field("transitions_delayed", run.faults.transitionsDelayed);
-        j.field("transitions_clamped", run.faults.transitionsClamped);
-        j.field("jittered_epochs", run.faults.jitteredEpochs);
-        j.endObject();
+        run.faults.writeJson(j);
     }
 
     if (vs_baseline) {

@@ -5,7 +5,9 @@
       Runs each malformed command line below. Each must exit with its
       front end's usage code (fatal()'s 1; bench_cluster's 2, whose 1
       means a claim failed) and print a message naming the flag and
-      the token. Exit 0 and a crash (e.g. 134 from an abort) both fail.
+      the token (the flag only, for an empty token: there is nothing
+      to quote). Exit 0 and a crash (e.g. 134 from an abort) both
+      fail.
 
   cli_check.py docs NAME=PATH...
       Every flag that a command line in README.md or EXPERIMENTS.md
@@ -27,7 +29,8 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # (program, arguments, flag, token). The coscale_sim probes hit each
 # kind of range the table enforces, plus the mix and policy names and
 # the three cluster values checked after parsing (--arrival, --churn,
-# --lb).
+# --lb), which are checked with and without --nodes. An empty spec is
+# rejected as well, since it would read as "flag not given".
 PROBES = [
     ("coscale_sim", ["--scale", "abc"], "--scale", "abc"),
     ("coscale_sim", ["--cores", "0"], "--cores", "0"),
@@ -49,9 +52,17 @@ PROBES = [
     ("coscale_sim", ["--nodes", "2", "--churn", "crash=2"], "--churn",
      "crash=2"),
     ("coscale_sim", ["--nodes", "2", "--lb", "bogus"], "--lb", "bogus"),
+    ("coscale_sim", ["--scale", "0.01", "--arrival", "rate=abc"],
+     "--arrival", "rate=abc"),
+    ("coscale_sim", ["--scale", "0.01", "--churn", "crash=5"], "--churn",
+     "crash=5"),
+    ("coscale_sim", ["--scale", "0.01", "--lb", "bogus"], "--lb", "bogus"),
+    ("coscale_sim", ["--nodes", "2", "--arrival", ""], "--arrival", ""),
+    ("coscale_sim", ["--scale", "0.01", "--churn", ""], "--churn", ""),
     ("bench_cluster", ["--nodes", "abc"], "--nodes", "abc"),
     ("bench_cluster", ["--arrival", "rate=abc"], "--arrival", "rate=abc"),
     ("bench_cluster", ["--churn", "crash=2"], "--churn", "crash=2"),
+    ("bench_cluster", ["--arrival", ""], "--arrival", ""),
     ("bench_kernel_throughput", ["out.json", "abc"], "time-scale", "abc"),
     ("bench_harness", ["--jobs", "2x"], "--jobs", "2x"),
     ("trace_dump", ["probe.trace", "--records", "abc"], "--records",
@@ -93,7 +104,7 @@ def check_malformed(bins):
                 failures.append("%s: exit %d, want %d (%s)"
                                 % (shown, proc.returncode, want,
                                    msg.strip()[-200:]))
-            elif flag not in msg or "'%s'" % token not in msg:
+            elif flag not in msg or (token and "'%s'" % token not in msg):
                 failures.append("%s: message does not name %s and '%s': "
                                 "%s" % (shown, flag, token, msg.strip()))
             else:

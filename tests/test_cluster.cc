@@ -1245,6 +1245,24 @@ TEST(ClusterSim, MakeNodeConfigShrinksTheMachine)
     EXPECT_EQ(c.warmupEpochs, 0);
 }
 
+TEST(ClusterSim, SizeAsNodeKeepsTheDvfsOnlyKnobSpace)
+{
+    // coscale_sim --nodes builds its node from its own flags, which
+    // open the LLC way dimension under COSCALE_KNOB_LLC_WAYS=1. Sizing
+    // it as a node must close it again and keep the core count, which
+    // may exceed the 16-core server's.
+    SystemConfig c = makeScaledConfig(0.02);
+    c.knobs.llcWays = true;
+    c.numCores = 20;
+    cluster::sizeAsNode(c);
+    EXPECT_FALSE(c.knobs.llcWays);
+    EXPECT_EQ(c.numCores, 20);
+    EXPECT_EQ(c.geom.channels, 1);
+    EXPECT_EQ(c.geom.dimmsPerChannel, 1);
+    EXPECT_EQ(c.power.geom.channels, 1);
+    EXPECT_EQ(c.warmupEpochs, 0);
+}
+
 TEST(ClusterSim, SerialAndJobs4RunsAreByteIdentical)
 {
     // The PR's concurrency contract at fleet scale: a 32-node capped

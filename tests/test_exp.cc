@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -514,7 +513,6 @@ TEST(ExperimentEngine, WatchdogCancelsHungRunAndBatchCompletes)
 
     EXPECT_FALSE(outcomes[0].ok);
     EXPECT_TRUE(outcomes[0].timedOut);
-    EXPECT_EQ(outcomes[0].attempts, 1);
     EXPECT_NE(outcomes[0].error.find("watchdog"), std::string::npos)
         << outcomes[0].error;
     // A hung neighbor must not take the batch down with it.
@@ -525,147 +523,42 @@ TEST(ExperimentEngine, WatchdogCancelsHungRunAndBatchCompletes)
     EXPECT_NE(os.str().find("\"timed_out\":true"), std::string::npos);
 }
 
-TEST(ExperimentEngine, TransientFailureSucceedsOnRetry)
+TEST(ExperimentEngine, FailuresOnAMixDoNotRefuseItsOtherRequests)
 {
-    SystemConfig cfg = smallConfig();
-    auto failures = std::make_shared<std::atomic<int>>(1);
-    RunRequest req =
-        RunRequest::forMix(cfg, mixByName("MID3"))
-            .with([failures, &cfg]() -> std::unique_ptr<Policy> {
-                if (failures->fetch_sub(1) > 0)
-                    throw std::runtime_error("transient glitch");
-                return std::make_unique<CoScalePolicy>(cfg.numCores,
-                                                       cfg.gamma);
-            });
+    // Three MID1 requests whose factory throws, then a healthy
+    // MemScale request on the same mix. A failure belongs to its own
+    // request only: the MemScale run completes, and the batch writes
+    // the same JSONL whatever the worker count.
+    SystemConfig cfg = smallConfig(0.02);
+    std::vector<RunRequest> requests;
+    for (int i = 0; i < 3; ++i) {
+        requests.push_back(
+            RunRequest::forMix(cfg, mixByName("MID1"))
+                .with([]() -> std::unique_ptr<Policy> {
+                    throw std::runtime_error("always broken");
+                }));
+    }
+    requests.push_back(
+        RunRequest::forMix(cfg, mixByName("MID1"))
+            .with(exp::policyFactoryByName("MemScale", cfg.numCores,
+                                           cfg.gamma)));
 
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.retries = 1;
-    opts.backoffSecs = 0.01;
-    exp::ExperimentEngine engine(opts);
-    exp::RunOutcome out = engine.runOne(req);
-
-    EXPECT_TRUE(out.ok) << out.error;
-    EXPECT_EQ(out.attempts, 2);
-    EXPECT_TRUE(out.error.empty()) << out.error;
-
-    // The retry count is visible in the report; single-attempt runs
-    // stay byte-stable by omitting the field entirely.
-    std::ostringstream os;
-    exp::writeJsonlReport({out}, os);
-    EXPECT_NE(os.str().find("\"attempts\":2"), std::string::npos);
-}
-
-TEST(ExperimentEngine, RepeatedlyFailingRequestGetsQuarantined)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    exp::ExperimentEngine engine(opts);
-
-    exp::RunOutcome first = engine.runOne(makeReq());
-    EXPECT_FALSE(first.ok);
-    EXPECT_FALSE(first.quarantined);
-    exp::RunOutcome second = engine.runOne(makeReq());
-    EXPECT_FALSE(second.ok);
-    EXPECT_FALSE(second.quarantined);
-
-    // Two exhausted failures of the same (config, workload, label)
-    // identity: the third submission is refused without running.
-    exp::RunOutcome third = engine.runOne(makeReq());
-    EXPECT_FALSE(third.ok);
-    EXPECT_TRUE(third.quarantined);
-    EXPECT_EQ(third.attempts, 0);
-    EXPECT_NE(third.error.find("quarantined"), std::string::npos)
-        << third.error;
-
-    std::ostringstream os;
-    exp::writeJsonlReport({third}, os);
-    EXPECT_NE(os.str().find("\"quarantined\":true"), std::string::npos);
-}
-
-TEST(ExperimentEngine, QuarantinedKeysListedAndClearedByReset)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    exp::ExperimentEngine engine(opts);
-
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    engine.runOne(makeReq());
-    // One strike is not a quarantine yet.
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    engine.runOne(makeReq());
-
-    std::vector<std::string> keys = engine.quarantinedKeys();
-    ASSERT_EQ(keys.size(), 1u);
-    EXPECT_FALSE(keys[0].empty());
-
-    // The summary line carries exactly those keys; an empty set emits
-    // nothing so clean batches stay byte-stable.
-    std::ostringstream os;
-    exp::writeQuarantineSummary(keys, os);
-    EXPECT_EQ(os.str(),
-              "{\"quarantined_keys\":[\"" + keys[0] + "\"]}\n");
-    std::ostringstream empty;
-    exp::writeQuarantineSummary({}, empty);
-    EXPECT_TRUE(empty.str().empty());
-
-    // Reset forgives the strikes: the request runs (and fails) again
-    // instead of being refused up front.
-    engine.resetQuarantine();
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    exp::RunOutcome after = engine.runOne(makeReq());
-    EXPECT_FALSE(after.ok);
-    EXPECT_FALSE(after.quarantined);
-    EXPECT_GT(after.attempts, 0);
-}
-
-TEST(ExperimentEngine, QuarantineExpiresAfterResetWindow)
-{
-    SystemConfig cfg = smallConfig();
-    auto makeReq = [&] {
-        return RunRequest::forMix(cfg, mixByName("MEM2"))
-            .with([]() -> std::unique_ptr<Policy> {
-                throw std::runtime_error("always broken");
-            });
-    };
-
-    exp::EngineOptions opts;
-    opts.jobs = 1;
-    opts.quarantineAfter = 2;
-    opts.quarantineResetSecs = 0.05;
-    exp::ExperimentEngine engine(opts);
-
-    engine.runOne(makeReq());
-    engine.runOne(makeReq());
-    EXPECT_EQ(engine.quarantinedKeys().size(), 1u);
-
-    // After the reset window the strikes lapse: the key drops out of
-    // the summary and the next submission is paroled (runs again)
-    // rather than refused.
-    std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    EXPECT_TRUE(engine.quarantinedKeys().empty());
-    exp::RunOutcome paroled = engine.runOne(makeReq());
-    EXPECT_FALSE(paroled.ok);
-    EXPECT_FALSE(paroled.quarantined);
-    EXPECT_GT(paroled.attempts, 0);
+    std::vector<std::string> reports;
+    for (int jobs : {1, 4}) {
+        exp::EngineOptions opts;
+        opts.jobs = jobs;
+        exp::ExperimentEngine engine(opts);
+        std::vector<exp::RunOutcome> outcomes = engine.run(requests);
+        ASSERT_EQ(outcomes.size(), 4u);
+        for (int i = 0; i < 3; ++i)
+            EXPECT_FALSE(outcomes[i].ok) << "jobs " << jobs;
+        EXPECT_TRUE(outcomes[3].ok)
+            << "jobs " << jobs << ": " << outcomes[3].error;
+        std::ostringstream os;
+        exp::writeJsonlReport(outcomes, os);
+        reports.push_back(os.str());
+    }
+    EXPECT_EQ(reports[0], reports[1]);
 }
 
 } // namespace
