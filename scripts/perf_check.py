@@ -1,29 +1,25 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_*.json against the checked-in baseline.
+"""Compare a fresh bench_cluster JSON against the checked-in baseline.
 
-Usage: perf_check.py FRESH BASELINE [--max-regression FRAC]
+Usage: perf_check.py FRESH BASELINE
 
-Two on-disk forms are understood, so the kernel benchmark and the
-cluster sweep share one gate:
+Both files are bench_cluster's trajectory form:
 
-  - legacy single-run form (bench_kernel_throughput):
-      {"events_per_sec": ..., "ticks_per_sec": ..., "wall_s": ...,
-       "events": ...}
-  - multi-entry trajectory form (bench_cluster):
-      {"benchmark": "...", "entries": [{"name": ..., "events": ...,
-       "wall_s": ..., "events_per_sec": ...}, ...]}
+    {"benchmark": "...", "entries": [{"name": ..., "events": ...}, ...]}
 
-A legacy document is treated as one entry named "default". Entries are
-matched by name: every baseline entry must appear in the fresh run
-(a vanished entry means the benchmark stopped measuring something),
-extra fresh entries are reported but pass (new sweep points need a
-baseline refresh to become load-bearing).
+The fresh run carries more fields per entry (wall_s, events_per_sec,
+budgets); only "name" and "events" are read. Entries are matched by
+name: every baseline entry must appear in the fresh run (a vanished
+entry means the benchmark stopped measuring something), extra fresh
+entries are reported but pass (new sweep points need a baseline
+refresh to become load-bearing).
 
-Fails (exit 1) when any matched entry's events/sec has regressed by
-more than --max-regression (default 0.25, the CI gate) relative to the
-baseline. Improvements always pass; baselines are refreshed by
-re-running the benchmark and committing the new JSON alongside the
-change that earned it.
+Fails (exit 1) when a matched entry's event count differs from the
+baseline's. The count is a pure function of the workload, so a change
+means the simulator now does different work for the same run; the
+baseline is re-recorded by committing the new counts alongside the
+change that explains them. Speed is not gated here: wall time is only
+comparable on one host, which scripts/perf_ab.sh measures.
 """
 
 import argparse
@@ -32,42 +28,33 @@ import sys
 
 
 def load_entries(path):
-    """Return {name: entry-dict} for either supported JSON form."""
+    """Return {name: events} for a trajectory JSON."""
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
-
-    if "entries" in doc:
-        entries = {}
-        for i, entry in enumerate(doc["entries"]):
-            for key in ("name", "events", "wall_s", "events_per_sec"):
-                if key not in entry:
-                    sys.exit(f"{path}: entries[{i}] missing '{key}'")
-            name = entry["name"]
-            if name in entries:
-                sys.exit(f"{path}: duplicate entry name '{name}'")
-            entries[name] = entry
-        if not entries:
-            sys.exit(f"{path}: 'entries' is empty")
-        return entries
-
-    for key in ("events_per_sec", "ticks_per_sec", "wall_s", "events"):
-        if key not in doc:
-            sys.exit(f"{path}: missing field '{key}'")
-    return {"default": doc}
+    if "entries" not in doc:
+        sys.exit(f"{path}: missing 'entries'")
+    entries = {}
+    for i, entry in enumerate(doc["entries"]):
+        for key in ("name", "events"):
+            if key not in entry:
+                sys.exit(f"{path}: entries[{i}] missing '{key}'")
+        name = entry["name"]
+        if name in entries:
+            sys.exit(f"{path}: duplicate entry name '{name}'")
+        entries[name] = entry["events"]
+    if not entries:
+        sys.exit(f"{path}: 'entries' is empty")
+    return entries
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("fresh", help="freshly measured BENCH_*.json")
     parser.add_argument("baseline", help="checked-in baseline JSON")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional events/sec drop "
-                             "(default 0.25)")
     args = parser.parse_args()
 
     fresh = load_entries(args.fresh)
     base = load_entries(args.baseline)
-    floor = 1.0 - args.max_regression
 
     missing = [name for name in base if name not in fresh]
     if missing:
@@ -76,34 +63,18 @@ def main():
             f"{', '.join(sorted(missing))}; the benchmark no longer "
             "measures them — re-record the baseline if intentional")
 
-    extra = [name for name in fresh if name not in base]
-    for name in sorted(extra):
-        print(f"{name}: not in baseline (new entry, not gated)")
+    for name in sorted(fresh):
+        if name not in base:
+            print(f"{name}: not in baseline (new entry, not gated)")
 
     failures = []
     for name in sorted(base):
-        f_entry = fresh[name]
-        b_entry = base[name]
-
-        # The event count is a pure function of the workload: a change
-        # means the benchmark is no longer measuring the same work,
-        # which would make the throughput comparison meaningless.
-        if f_entry["events"] != b_entry["events"]:
-            sys.exit(
-                f"{name}: event count changed: fresh "
-                f"{f_entry['events']} vs baseline {b_entry['events']}; "
-                "re-record the baseline if the workload change is "
-                "intentional")
-
-        fresh_eps = float(f_entry["events_per_sec"])
-        base_eps = float(b_entry["events_per_sec"])
-        ratio = fresh_eps / base_eps if base_eps > 0 else float("inf")
-        print(f"{name}: events/sec fresh {fresh_eps:.4g}  baseline "
-              f"{base_eps:.4g}  ratio {ratio:.3f}  floor {floor:.2f}")
-        if ratio < floor:
+        print(f"{name}: events fresh {fresh[name]}  baseline {base[name]}")
+        if fresh[name] != base[name]:
             failures.append(
-                f"{name}: regressed {100 * (1 - ratio):.1f}% "
-                f"(> {100 * args.max_regression:.0f}% allowed)")
+                f"{name}: event count changed: fresh {fresh[name]} vs "
+                f"baseline {base[name]}; re-record the baseline if the "
+                "workload change is intentional")
 
     if failures:
         sys.exit("\n".join(failures))

@@ -182,10 +182,10 @@ class Llc
     /**
      * Allocator for arrays whose empty state is all-zero bytes: the
      * memory comes from calloc, so default construction writes
-     * nothing, and fresh pages stay the host's zero pages until the
-     * simulation first touches them. Building a System then costs no
-     * pass over the multi-megabyte tag and meta arrays. Only for
-     * vectors sized once, from empty.
+     * nothing. calloc itself clears only memory that glibc reuses
+     * from its heap; freshly mapped pages stay the host's zero pages
+     * until the simulation first touches them (DESIGN.md, "Zero-byte
+     * empty LLC"). Only for vectors sized once, from empty.
      */
     template <class T>
     struct ZeroedAllocator

@@ -10,8 +10,7 @@ namespace exp {
 const RunResult &
 BaselinePool::baseline(const RunRequest &req)
 {
-    SystemConfig cfg = req.effectiveConfig();
-    BaselineKey key{configDigest(cfg), workloadDigest(req.apps),
+    BaselineKey key{configDigest(req.cfg), workloadDigest(req.apps),
                     req.label};
 
     std::shared_future<RunResult> fut;
@@ -34,7 +33,7 @@ BaselinePool::baseline(const RunRequest &req)
         try {
             RunRequest base;
             base.label = req.label;
-            base.cfg = cfg;
+            base.cfg = req.cfg;
             base.apps = req.apps;
             base.makePolicy = [] {
                 return std::make_unique<BaselinePolicy>();

@@ -469,17 +469,6 @@ clusterBenchOptionTable(ClusterBenchOptions &o)
 }
 
 OptionTable
-kernelBenchOptionTable(KernelBenchOptions &o)
-{
-    OptionTable t{"bench_kernel_throughput [output.json] [time-scale] [reps]",
-                  {}};
-    t.add({"output.json", "", &o.outPath, "the JSON report"});
-    t.add({"time-scale", "", &o.scale, "time scale", scaleRange});
-    t.add({"reps", "", &o.reps, "timed runs", kPositive});
-    return t;
-}
-
-OptionTable
 traceDumpOptionTable(TraceDumpOptions &o)
 {
     OptionTable t{"trace_dump FILE [--records N]\n"

@@ -10,11 +10,10 @@
  * --help prints the table.
  *
  * The tables of coscale_sim, the figure/table harnesses
- * (BenchOptions), bench_cluster, bench_kernel_throughput and
- * trace_dump live here, so tests can parse any documented invocation
- * without running it; the small examples write theirs inline. A table
- * holds pointers into the options it was built over, which must
- * outlive it.
+ * (BenchOptions), bench_cluster and trace_dump live here, so tests
+ * can parse any documented invocation without running it; the small
+ * examples write theirs inline. A table holds pointers into the
+ * options it was built over, which must outlive it.
  *
  * The same rows, named by key, describe a "key=value,key=value" spec
  * (--arrival, --churn): parseSpec() stores each value as a flag's is
@@ -236,14 +235,6 @@ struct ClusterBenchOptions
     std::vector<double> fracs = {0.85, 0.7, 0.55};
 };
 
-/** bench_kernel_throughput's positional arguments. */
-struct KernelBenchOptions
-{
-    std::string outPath = "BENCH_kernel.json";
-    double scale = 0.1;
-    int reps = 3;
-};
-
 /** trace_dump's arguments (examples/trace_dump.cc). */
 struct TraceDumpOptions
 {
@@ -257,7 +248,6 @@ struct TraceDumpOptions
 OptionTable simOptionTable(SimOptions &o);
 OptionTable benchOptionTable(BenchOptions &o);
 OptionTable clusterBenchOptionTable(ClusterBenchOptions &o);
-OptionTable kernelBenchOptionTable(KernelBenchOptions &o);
 OptionTable traceDumpOptionTable(TraceDumpOptions &o);
 
 /** The time-scale range every front end accepts: (0, 1]. */

@@ -30,6 +30,74 @@ canonical(const std::string &name)
     return out;
 }
 
+using MakePolicy = std::unique_ptr<Policy> (*)(int cores, double gamma,
+                                               double capWatts);
+
+/** A policy whose constructor takes (cores, gamma) only. */
+template <class P>
+std::unique_ptr<Policy>
+make(int cores, double gamma, double)
+{
+    return std::make_unique<P>(cores, gamma);
+}
+
+/** One roster row: the CLI spelling, an extra canonical spelling it
+ *  also answers to (or nullptr), and how to build a fresh instance. */
+struct PolicyRow
+{
+    const char *name;
+    const char *alias;
+    MakePolicy make;
+};
+
+/** Every policy, in --list-policies order. */
+const PolicyRow kRoster[] = {
+    {"baseline", nullptr,
+     [](int, double, double) -> std::unique_ptr<Policy> {
+         return std::make_unique<BaselinePolicy>();
+     }},
+    {"reactive", nullptr, make<ReactivePolicy>},
+    {"memscale", nullptr, make<MemScalePolicy>},
+    {"cpuonly", nullptr, make<CpuOnlyPolicy>},
+    {"uncoordinated", nullptr, make<UncoordinatedPolicy>},
+    {"semi", "semicoordinated", make<SemiCoordinatedPolicy>},
+    {"semi-alt", nullptr,
+     [](int cores, double gamma, double) -> std::unique_ptr<Policy> {
+         return std::make_unique<SemiCoordinatedPolicy>(
+             cores, gamma, SemiCoordinatedPolicy::Phase::Alternate);
+     }},
+    {"coscale", nullptr, make<CoScalePolicy>},
+    // Ablation baseline for the generalized knob walk: identical
+    // controller, way-partition dimension held.
+    {"coscale-dvfs", nullptr,
+     [](int cores, double gamma, double) -> std::unique_ptr<Policy> {
+         CoScaleOptions o;
+         o.useWayPartitioning = false;
+         o.nameOverride = "CoScale-DVFS";
+         return std::make_unique<CoScalePolicy>(cores, gamma, o);
+     }},
+    {"coscale-chipwide", nullptr,
+     [](int cores, double gamma, double) -> std::unique_ptr<Policy> {
+         CoScaleOptions o;
+         o.chipWideCpuDvfs = true;
+         return std::make_unique<CoScalePolicy>(cores, gamma, o);
+     }},
+    {"offline", nullptr, make<OfflinePolicy>},
+    {"multiscale", nullptr, make<MultiScalePolicy>},
+    // FastCap's capping walk alone: no fairness phase, no ledger.
+    {"powercap", nullptr,
+     [](int cores, double gamma, double capWatts)
+         -> std::unique_ptr<Policy> {
+         return std::make_unique<FastCapPolicy>(cores, gamma, capWatts,
+                                                false);
+     }},
+    {"fastcap", nullptr,
+     [](int cores, double gamma, double capWatts)
+         -> std::unique_ptr<Policy> {
+         return std::make_unique<FastCapPolicy>(cores, gamma, capWatts);
+     }},
+};
+
 } // namespace
 
 const std::vector<std::string> &
@@ -45,13 +113,12 @@ paperPolicyNames()
 const std::vector<std::string> &
 knownPolicyNames()
 {
-    static const std::vector<std::string> names = {
-        "baseline",  "reactive",         "memscale",
-        "cpuonly",   "uncoordinated",    "semi",
-        "semi-alt",  "coscale",          "coscale-dvfs",
-        "coscale-chipwide", "offline",   "multiscale",
-        "powercap",  "fastcap",
-    };
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const PolicyRow &row : kRoster)
+            v.emplace_back(row.name);
+        return v;
+    }();
     return names;
 }
 
@@ -60,84 +127,12 @@ policyFactoryByName(const std::string &name, int cores, double gamma,
                     double capWatts)
 {
     const std::string p = canonical(name);
-    if (p == "baseline")
-        return [] { return std::make_unique<BaselinePolicy>(); };
-    if (p == "reactive") {
-        return [cores, gamma] {
-            return std::make_unique<ReactivePolicy>(cores, gamma);
-        };
-    }
-    if (p == "memscale") {
-        return [cores, gamma] {
-            return std::make_unique<MemScalePolicy>(cores, gamma);
-        };
-    }
-    if (p == "cpuonly") {
-        return [cores, gamma] {
-            return std::make_unique<CpuOnlyPolicy>(cores, gamma);
-        };
-    }
-    if (p == "uncoordinated") {
-        return [cores, gamma] {
-            return std::make_unique<UncoordinatedPolicy>(cores, gamma);
-        };
-    }
-    if (p == "semi" || p == "semicoordinated") {
-        return [cores, gamma] {
-            return std::make_unique<SemiCoordinatedPolicy>(cores,
-                                                           gamma);
-        };
-    }
-    if (p == "semialt") {
-        return [cores, gamma] {
-            return std::make_unique<SemiCoordinatedPolicy>(
-                cores, gamma, SemiCoordinatedPolicy::Phase::Alternate);
-        };
-    }
-    if (p == "coscale") {
-        return [cores, gamma] {
-            return std::make_unique<CoScalePolicy>(cores, gamma);
-        };
-    }
-    if (p == "coscaledvfs") {
-        // Ablation baseline for the generalized knob walk: identical
-        // controller, way-partition dimension held.
-        return [cores, gamma] {
-            CoScaleOptions o;
-            o.useWayPartitioning = false;
-            o.nameOverride = "CoScale-DVFS";
-            return std::make_unique<CoScalePolicy>(cores, gamma, o);
-        };
-    }
-    if (p == "coscalechipwide") {
-        return [cores, gamma] {
-            CoScaleOptions o;
-            o.chipWideCpuDvfs = true;
-            return std::make_unique<CoScalePolicy>(cores, gamma, o);
-        };
-    }
-    if (p == "offline") {
-        return [cores, gamma] {
-            return std::make_unique<OfflinePolicy>(cores, gamma);
-        };
-    }
-    if (p == "multiscale") {
-        return [cores, gamma] {
-            return std::make_unique<MultiScalePolicy>(cores, gamma);
-        };
-    }
-    if (p == "powercap") {
-        // FastCap's capping walk alone: no fairness phase, no ledger.
-        return [cores, gamma, capWatts] {
-            return std::make_unique<FastCapPolicy>(cores, gamma, capWatts,
-                                                   false);
-        };
-    }
-    if (p == "fastcap") {
-        return [cores, gamma, capWatts] {
-            return std::make_unique<FastCapPolicy>(cores, gamma,
-                                                   capWatts);
-        };
+    for (const PolicyRow &row : kRoster) {
+        if (p == canonical(row.name) || (row.alias && p == row.alias)) {
+            return [build = row.make, cores, gamma, capWatts] {
+                return build(cores, gamma, capWatts);
+            };
+        }
     }
     return {};
 }

@@ -141,11 +141,6 @@ class Channel
     /** Current bus-frequency ladder index of this channel. */
     int freqIndex() const { return freqIdx; }
 
-    /** Outstanding queue depths (for tests). */
-    size_t readQueueDepth() const { return readQ.size(); }
-    size_t writeQueueDepth() const { return writeQ.size(); }
-    bool drainingWrites() const { return drainMode; }
-
   private:
     struct RankState
     {
@@ -312,15 +307,6 @@ class MemCtrl
     }
 
     int numChannels() const { return static_cast<int>(channels.size()); }
-
-    size_t
-    totalQueueDepth() const
-    {
-        size_t n = 0;
-        for (const auto &ch : channels)
-            n += ch.readQueueDepth() + ch.writeQueueDepth();
-        return n;
-    }
 
   private:
     void reseatChannelPointers();

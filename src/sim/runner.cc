@@ -299,7 +299,7 @@ run(const RunRequest &req)
     if (req.wantMetrics)
         metrics = std::make_shared<MetricsRegistry>();
 
-    const SystemConfig cfg = req.effectiveConfig();
+    const SystemConfig &cfg = req.cfg;
     System sys(cfg, req.apps);
     EpochDriver driver(sys, *policy, req.faults, req.auditSet, sink,
                        metrics.get());

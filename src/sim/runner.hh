@@ -155,9 +155,6 @@ struct RunRequest
      */
     Policy *borrowedPolicy = nullptr;
 
-    /** Non-zero overrides cfg.seed (deterministic per-request seeding). */
-    std::uint64_t seed = 0;
-
     /** External auditors to observe the run (tests). */
     AuditSet *auditSet = nullptr;
 
@@ -229,13 +226,6 @@ struct RunRequest
     }
 
     RunRequest &
-    withSeed(std::uint64_t s)
-    {
-        seed = s;
-        return *this;
-    }
-
-    RunRequest &
     withAudit(AuditSet *audit)
     {
         auditSet = audit;
@@ -280,15 +270,8 @@ struct RunRequest
         return *this;
     }
 
-    /** cfg with the per-request seed override applied. */
-    SystemConfig
-    effectiveConfig() const
-    {
-        SystemConfig c = cfg;
-        if (seed != 0)
-            c.seed = seed;
-        return c;
-    }
+    /** The run's configuration (kept for the benchmark's caller). */
+    const SystemConfig &effectiveConfig() const { return cfg; }
 };
 
 /** An epoch window's average power and its length, clipped at the

@@ -231,8 +231,8 @@ class System
 
     /**
      * Events dispatched by the kernel since construction (core steps
-     * plus memory-controller command issues). The denominator of the
-     * kernel-throughput benchmark's events/sec figure.
+     * plus memory-controller command issues). The KernelPin digests
+     * hash it, and bench_cluster reports it per run.
      */
     std::uint64_t eventsDispatched() const { return events; }
 

@@ -63,8 +63,8 @@ PROBES = [
     ("bench_cluster", ["--arrival", "rate=abc"], "--arrival", "rate=abc"),
     ("bench_cluster", ["--churn", "crash=2"], "--churn", "crash=2"),
     ("bench_cluster", ["--arrival", ""], "--arrival", ""),
-    ("bench_kernel_throughput", ["out.json", "abc"], "time-scale", "abc"),
     ("bench_harness", ["--jobs", "2x"], "--jobs", "2x"),
+    ("bench_harness", ["abc"], "scale", "abc"),
     ("trace_dump", ["probe.trace", "--records", "abc"], "--records",
      "abc"),
     ("quickstart", ["MID1", "abc"], "scale", "abc"),

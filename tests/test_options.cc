@@ -39,7 +39,6 @@ struct FrontEnds
     exp::SimOptions sim;
     exp::BenchOptions bench;
     exp::ClusterBenchOptions cluster;
-    exp::KernelBenchOptions kernel;
     exp::TraceDumpOptions traceDump;
 
     /** The table @p prog parses with; bench_* harnesses share one. */
@@ -50,8 +49,6 @@ struct FrontEnds
             return exp::simOptionTable(sim);
         if (prog == "bench_cluster")
             return exp::clusterBenchOptionTable(cluster);
-        if (prog == "bench_kernel_throughput")
-            return exp::kernelBenchOptionTable(kernel);
         if (prog == "trace_dump")
             return exp::traceDumpOptionTable(traceDump);
         return exp::benchOptionTable(bench);
@@ -59,9 +56,7 @@ struct FrontEnds
 };
 
 const char *const kFrontEnds[] = {"coscale_sim", "bench_fig10_bound",
-                                  "bench_cluster",
-                                  "bench_kernel_throughput",
-                                  "trace_dump"};
+                                  "bench_cluster", "trace_dump"};
 
 /** Split a shell command line on blanks; "..." quotes a blank. */
 std::vector<std::string>
@@ -186,8 +181,8 @@ TEST(OptionParse, EveryErrorKindNamesTheFlagAndTheToken)
                 "--bogus");
     expectError("coscale_sim stray", ErrKind::UnknownFlag, "stray",
                 "stray");
-    expectError("bench_kernel_throughput a.json 0.1 3 extra",
-                ErrKind::UnknownFlag, "extra", "extra");
+    expectError("bench_fig10_bound 0.1 extra", ErrKind::UnknownFlag,
+                "extra", "extra");
     expectError("coscale_sim --mix MID1 --scale", ErrKind::MissingValue,
                 "--scale", "");
     expectError("coscale_sim --scale abc", ErrKind::BadNumber, "--scale",
@@ -196,8 +191,8 @@ TEST(OptionParse, EveryErrorKindNamesTheFlagAndTheToken)
                 "--jobs", "2x");
     expectError("coscale_sim --seed -5", ErrKind::BadNumber, "--seed",
                 "-5");
-    expectError("bench_kernel_throughput out.json abc", ErrKind::BadNumber,
-                "time-scale", "abc");
+    expectError("bench_fig10_bound abc", ErrKind::BadNumber, "scale",
+                "abc");
     expectError("coscale_sim --cores 0", ErrKind::OutOfRange, "--cores",
                 "0");
     expectError("coscale_sim --scale 2", ErrKind::OutOfRange, "--scale",
@@ -338,7 +333,6 @@ TEST(OptionParse, FuzzedArgvThrowsOnlyOptionParseError)
         "--dram-standard ddr4 --progress",
         "bench_cluster --nodes 16 --epochs 6 --jobs 2 "
         "--fracs 0.9,0.6,0.3 --json-out B.json --node-cores 4",
-        "bench_kernel_throughput BENCH_kernel.json 0.1 3",
         "trace_dump --make ammp --out F --instructions 5000 --records 3",
     };
     const char *const junk[] = {"",     "abc",  "-5",  "2x",  "0",
@@ -460,8 +454,7 @@ dump(const FrontEnds &f)
       << " json=" << c.jsonOut << " fracs=";
     for (double x : c.fracs)
         s << x << ',';
-    s << "\nkernel: " << f.kernel.outPath << ' ' << f.kernel.scale << ' '
-      << f.kernel.reps << "\ntrace_dump: " << f.traceDump.file << ' '
+    s << "\ntrace_dump: " << f.traceDump.file << ' '
       << f.traceDump.makeApp << ' ' << f.traceDump.out << ' '
       << f.traceDump.instructions << ' ' << f.traceDump.records << '\n';
     return s.str();
@@ -499,9 +492,6 @@ TEST(OptionInventory, DocumentedInvocationsParseToTheirValues)
              e.bench.scale = 0.02;
              e.bench.jobs = 2;
          }},
-        {"ci.yml perf-smoke; EXPERIMENTS.md",
-         "bench_kernel_throughput BENCH_kernel.json 0.1 3", 0.1,
-         [](FrontEnds &) {}},
         {"ci.yml cluster-smoke",
          "bench_cluster --nodes 16 --epochs 6 --jobs 2 "
          "--json-out BENCH_cluster.json --csv-out bench_cluster.csv",
@@ -655,8 +645,7 @@ TEST(OptionInventory, DocumentedInvocationsParseToTheirValues)
         std::vector<std::string> args = splitCommand(inv.command);
         FrontEnds got;
         FrontEnds want;
-        if (args[0].rfind("bench_", 0) == 0 && args[0] != "bench_cluster"
-            && args[0] != "bench_kernel_throughput") {
+        if (args[0].rfind("bench_", 0) == 0 && args[0] != "bench_cluster") {
             // The harnesses' real entry point, with its default scale.
             std::vector<const char *> argv = argvOf(args);
             got.bench = exp::parseBenchArgs(
