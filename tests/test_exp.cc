@@ -78,8 +78,9 @@ matrixRequests(const SystemConfig &cfg)
 }
 
 // The two batch tests below run at scale 0.01: instrBudget and
-// epochLen scale together, so each run keeps the epoch count and the
-// policy decisions it has at 0.05, in a fifth of the simulated time.
+// epochLen scale together, so a CoScale run of these mixes still
+// takes 11-49 epochs, each with a policy decision (10-49 at 0.05), in
+// a fifth of the simulated time.
 
 TEST(ExperimentEngine, ParallelBatchBitIdenticalToSerial)
 {
