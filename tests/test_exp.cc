@@ -162,6 +162,32 @@ TEST(ExperimentEngine, FaultedRunsBitIdenticalAcrossWorkerCounts)
               1u);
 }
 
+TEST(ExperimentEngine, OutcomesStayInRequestOrder)
+{
+    // A small 2-core batch whose first request is the longest (MEM1
+    // takes 39 epochs here, the others 10-18), so with three workers
+    // the runs finish out of request order; the outcomes must not.
+    SystemConfig cfg = smallConfig(0.01);
+    cfg.numCores = 2;
+    std::vector<RunRequest> requests;
+    for (const char *mix : {"MEM1", "ILP2", "MID3", "MIX2"}) {
+        requests.push_back(
+            RunRequest::forMix(cfg, mixByName(mix))
+                .with(exp::policyFactoryByName("CoScale", cfg.numCores,
+                                               cfg.gamma)));
+    }
+    exp::EngineOptions opts;
+    opts.jobs = 3;
+    exp::ExperimentEngine engine(opts);
+    std::vector<exp::RunOutcome> outcomes = engine.run(requests);
+    ASSERT_EQ(outcomes.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        ASSERT_TRUE(outcomes[i].ok) << outcomes[i].error;
+        EXPECT_EQ(outcomes[i].index, i);
+        EXPECT_EQ(outcomes[i].result.mixName, requests[i].label);
+    }
+}
+
 TEST(BaselinePool, MemoizesByConfigAndWorkload)
 {
     SystemConfig cfg = smallConfig();
