@@ -10,8 +10,8 @@
  *
  * Emits bench_cluster.csv (one row per run) and a multi-entry
  * BENCH_cluster.json ({"entries": [...]}) so scripts/perf_check.py
- * can track the cluster path's throughput trajectory alongside the
- * kernel benchmark.
+ * can compare each entry's event count, a pure function of the run,
+ * against the checked-in bench/BENCH_cluster*_baseline.json.
  *
  * With --churn SPEC the sweep runs a second, churned leg: the same
  * budgets with node crashes, hangs, flaps, and telemetry blackouts
@@ -45,8 +45,7 @@ struct SweepRow
 {
     std::string name;
     std::string policy;
-    double budgetFrac = 0.0; //!< 0 = uncapped reference
-    double budgetW = 0.0;
+    double budgetW = 0.0; //!< 0 = uncapped reference
     double worstPowerW = 0.0;
     double meanPowerW = 0.0;
     std::uint64_t capViolations = 0;
@@ -319,7 +318,7 @@ main(int argc, char **argv)
     bool churn_happened = !churn_plan.enabled();
     bool churn_observed = !churn_plan.enabled();
     for (const SweepRow &r : rows) {
-        if (r.budgetFrac == 0.0 && r.budgetW == 0.0)
+        if (r.budgetW == 0.0)
             continue;
         if (r.policy == "fastcap" && r.capViolations > 0)
             fastcap_clean = false;

@@ -36,6 +36,8 @@ struct LlcConfig
     int ways = 16;
     double hitLatencyNs = 7.5;   //!< 30 CPU cycles at nominal 4 GHz
     bool prefetchNextLine = false;
+
+    bool operator==(const LlcConfig &) const = default;
 };
 
 /** Result of one LLC access, including side effects to forward. */

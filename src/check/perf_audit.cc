@@ -53,8 +53,6 @@ PerfAuditor::onEpoch(const EpochObservation &obs, const EnergyModel &em)
                     "core %d ran slower than Eq. 1 predicts: measured "
                     "TPI %.3e, predicted %.3e (busy frac %.2f)",
                     i, measured, pred, busy_frac);
-                if (residual > worst)
-                    worst = residual;
                 if (residual > cfg.residualWarn) {
                     warn("perf audit: core %d Eq. 1 residual %.1f%% "
                          "(predicted %.3e s/instr, measured %.3e)",

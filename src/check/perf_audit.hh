@@ -24,7 +24,7 @@
  *    (1 + gamma) * ref pace.
  *
  * Violations are reported through COSCALE_CHECK; large-but-legal
- * residuals are surfaced via warn() and worstResidual().
+ * residuals are surfaced via warn().
  */
 
 #ifndef COSCALE_CHECK_PERF_AUDIT_HH
@@ -74,9 +74,6 @@ class PerfAuditor
     /** Audit one completed epoch. */
     void onEpoch(const EpochObservation &obs, const EnergyModel &em);
 
-    /** Largest residual seen (over checked cores). */
-    double worstResidual() const { return worst; }
-
     std::uint64_t epochsAudited() const { return nEpochs; }
 
     double
@@ -91,7 +88,6 @@ class PerfAuditor
     std::vector<double> shadowSlack;
     std::vector<double> creditSum;
     std::vector<double> timeSum;
-    double worst = 0.0;
     std::uint64_t nEpochs = 0;
 };
 

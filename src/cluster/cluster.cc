@@ -492,7 +492,7 @@ ClusterSim::step()
                 cfg.lb == LbPolicy::RoundRobin);
             for (size_t i = 0; i < n; ++i) {
                 if (split[i])
-                    nodes[i]->enqueueAged(b.arrivalEpoch, split[i]);
+                    nodes[i]->enqueue(b.arrivalEpoch, split[i]);
             }
             st.reroutedRequests += b.remaining;
             churnSum.reroutedRequests += b.remaining;
@@ -510,7 +510,7 @@ ClusterSim::step()
         unrouted.push_back(park);
     } else {
         for (size_t i = 0; i < n; ++i)
-            nodes[i]->enqueue(routed[i], epochNo);
+            nodes[i]->enqueue(epochNo, routed[i]);
     }
 
     std::vector<double> grants = computeGrants();

@@ -211,33 +211,21 @@ NodeSim::drainQueue()
 }
 
 void
-NodeSim::enqueueAged(std::uint64_t arrival_epoch,
-                     std::uint64_t requests)
+NodeSim::enqueue(std::uint64_t arrival_epoch, std::uint64_t requests)
 {
     if (requests == 0)
         return;
     QueuedBatch b;
     b.arrivalEpoch = arrival_epoch;
     b.remaining = requests;
-    // The queue is nondecreasing in arrival epoch (normal enqueues
-    // append the current epoch); keep it that way so FIFO latency
-    // accounting stays exact for re-routed work.
+    // The queue is nondecreasing in arrival epoch; keep it that way so
+    // FIFO latency accounting stays exact for re-routed work. Fresh
+    // arrivals carry the current epoch, so they land at the back.
     auto it = std::find_if(queue.begin(), queue.end(),
                            [arrival_epoch](const QueuedBatch &q) {
                                return q.arrivalEpoch > arrival_epoch;
                            });
     queue.insert(it, b);
-}
-
-void
-NodeSim::enqueue(std::uint64_t requests, std::uint64_t epoch)
-{
-    if (requests == 0)
-        return;
-    QueuedBatch b;
-    b.arrivalEpoch = epoch;
-    b.remaining = requests;
-    queue.push_back(b);
 }
 
 NodeServiceStats

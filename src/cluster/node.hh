@@ -136,8 +136,13 @@ class NodeSim
      */
     void presetConfig(const FreqConfig &c) { sys.applyConfig(c); }
 
-    /** Add @p requests arrivals routed here at @p epoch. */
-    void enqueue(std::uint64_t requests, std::uint64_t epoch);
+    /**
+     * Add @p requests that arrived at @p arrival_epoch (fresh arrivals,
+     * or a batch drained from a dead node and re-routed here),
+     * preserving FIFO-by-arrival order: the batch goes before the
+     * first queued batch that arrived later.
+     */
+    void enqueue(std::uint64_t arrival_epoch, std::uint64_t requests);
 
     /**
      * Serve queued requests with the capacity the last advanceEpoch
@@ -221,13 +226,6 @@ class NodeSim
      * latency accounting survives the move.
      */
     std::vector<QueuedBatch> drainQueue();
-
-    /**
-     * Re-enqueue a drained batch, preserving FIFO-by-arrival order
-     * (inserted before the first batch that arrived later).
-     */
-    void enqueueAged(std::uint64_t arrival_epoch,
-                     std::uint64_t requests);
 
     int id() const { return nodeId; }
     const System &system() const { return sys; }

@@ -87,6 +87,8 @@ class FreqLadder
     /** True if @p idx is not the first (highest) step. */
     bool canScaleUp(int idx) const { return idx > 0; }
 
+    bool operator==(const FreqLadder &) const = default;
+
   private:
     std::vector<Freq> freqs;   //!< high-to-low frequencies
     std::vector<double> volts; //!< matching supply voltages

@@ -8,9 +8,9 @@
  * detected violations can be asserted on instead of killing the
  * process.
  *
- * The preferred invariant macros are COSCALE_CHECK / COSCALE_DCHECK in
- * check/contract.hh; they and the legacy coscale_assert below share
- * the detail::checkFailed reporting path (expression + file:line).
+ * The invariant macros are COSCALE_CHECK / COSCALE_DCHECK in
+ * check/contract.hh; they report through detail::checkFailed
+ * (expression + file:line).
  */
 
 #ifndef COSCALE_COMMON_LOG_HH
@@ -160,20 +160,6 @@ exitCleanly()
 #define coscale_panic(...)                                                 \
     ::coscale::detail::logPanic(                                           \
         ::coscale::detail::formatString(__VA_ARGS__), __FILE__, __LINE__)
-
-/**
- * Like assert, but always compiled in and reported via panic.
- * Legacy spelling of COSCALE_CHECK (check/contract.hh); both share
- * detail::checkFailed, so behaviour and formatting are identical.
- */
-#define coscale_assert(cond, ...)                                          \
-    do {                                                                   \
-        if (!(cond)) [[unlikely]] {                                        \
-            ::coscale::detail::checkFailed(                                \
-                #cond, __FILE__, __LINE__                                  \
-                __VA_OPT__(, ::coscale::detail::formatString(__VA_ARGS__)));\
-        }                                                                  \
-    } while (0)
 
 } // namespace coscale
 

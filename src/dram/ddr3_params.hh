@@ -53,6 +53,8 @@ struct DramTimingParams
     // the powerdown exit and DLL re-lock.
     int recalCycles = 512;
     double recalExtraNs = 28.0;
+
+    bool operator==(const DramTimingParams &) const = default;
 };
 
 /** DDR3 device currents in mA (Table 2) and supply voltage. */
@@ -67,6 +69,8 @@ struct DramCurrentParams
     double iPrechargeStandby = 70.0;
     double iPrechargePowerdown = 45.0;
     double iRefresh = 240.0;
+
+    bool operator==(const DramCurrentParams &) const = default;
 };
 
 /** How block addresses are spread over channels. */
@@ -99,6 +103,8 @@ struct MemGeometry
     {
         return ranksPerChannel() * banksPerRank;
     }
+
+    bool operator==(const MemGeometry &) const = default;
 };
 
 /** Timing parameters resolved to ticks at a specific bus frequency. */
@@ -120,18 +126,6 @@ struct ResolvedTiming
 
     /** Resolve @p p at bus frequency @p busFreq. */
     static ResolvedTiming resolve(const DramTimingParams &p, Freq bus_freq);
-
-    /**
-     * The frequency-invariant (nanosecond-specified) part of a
-     * closed-page read service time: tRCD + tCL.
-     */
-    Tick serviceFixed() const { return tRCD + tCL; }
-
-    /**
-     * The cycle-denominated part of a read service time: the data
-     * burst. Grows as the bus slows down.
-     */
-    Tick serviceScaled() const { return tBURST; }
 };
 
 /**

@@ -6,8 +6,8 @@
  * The three enums here are the single source of truth for backend
  * identity (the old MemCtrlConfig::openPage bool is gone). Everything
  * that must agree on the backend — the channel scheduler, the timing
- * auditor's shadow model, experiment digests, CLI flags — consumes
- * this vocabulary rather than probing booleans. The behavioural
+ * auditor's shadow model, the baseline pool's config keys, CLI flags —
+ * consumes this vocabulary rather than probing booleans. The behavioural
  * interfaces resolved from these enums live one layer up:
  * memctrl/scheduler.hh (Scheduler), dram/row_policy.hh
  * (RowPolicyModel), and the DramStandardInfo registry below.
@@ -54,13 +54,7 @@ struct MemBackendSel
     RowPolicy rowPolicy = RowPolicy::ClosedAuto;
     DramStandard standard = DramStandard::Ddr3;
 
-    bool
-    operator==(const MemBackendSel &o) const
-    {
-        return sched == o.sched && rowPolicy == o.rowPolicy
-               && standard == o.standard;
-    }
-    bool operator!=(const MemBackendSel &o) const { return !(*this == o); }
+    bool operator==(const MemBackendSel &) const = default;
 };
 
 /** Short lowercase names, matching the CLI flag spellings. */

@@ -1,8 +1,7 @@
 #include "exp/baseline_pool.hh"
 
+#include <algorithm>
 #include <memory>
-
-#include "exp/digest.hh"
 
 namespace coscale {
 namespace exp {
@@ -10,21 +9,22 @@ namespace exp {
 const RunResult &
 BaselinePool::baseline(const RunRequest &req)
 {
-    BaselineKey key{configDigest(req.cfg), workloadDigest(req.apps),
-                    req.label};
-
     std::shared_future<RunResult> fut;
     std::shared_ptr<std::promise<RunResult>> prom;
     {
         MutexLock lock(mu);
-        auto it = entries.find(key);
+        auto it = std::find_if(
+            entries.begin(), entries.end(), [&req](const Entry &e) {
+                return e.label == req.label && e.cfg == req.cfg
+                       && e.apps == req.apps;
+            });
         if (it == entries.end()) {
             prom = std::make_shared<std::promise<RunResult>>();
             fut = prom->get_future().share();
-            entries.emplace(std::move(key), fut);
+            entries.push_back(Entry{req.cfg, req.apps, req.label, fut});
             nMisses.fetch_add(1, std::memory_order_relaxed);
         } else {
-            fut = it->second;
+            fut = it->result;
             nHits.fetch_add(1, std::memory_order_relaxed);
         }
     }
@@ -43,6 +43,8 @@ BaselinePool::baseline(const RunRequest &req)
             prom->set_exception(std::current_exception());
         }
     }
+    // The reference points into the shared state, which the entry
+    // keeps alive wherever the vector moves the entry.
     return fut.get();
 }
 

@@ -5,9 +5,10 @@
  * Every baseline-relative experiment needs a BaselinePolicy run of
  * the same configuration + workload; before the engine existed, each
  * bench harness recomputed those privately. The pool runs each
- * distinct baseline exactly once per process — keyed by
- * (configuration digest, workload digest, label) — and shares the
- * result across threads, harness phases, and engine instances.
+ * distinct baseline exactly once per process — keyed by the value of
+ * the request's configuration, application list and label, compared
+ * field by field with the structs' defaulted operator== — and shares
+ * the result across threads, harness phases, and engine instances.
  *
  * Concurrency: the first requester of a key becomes its computer;
  * later requesters (on any thread) block on a shared future rather
@@ -21,9 +22,8 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <map>
 #include <string>
-#include <tuple>
+#include <vector>
 
 #include "common/thread_annotations.hh"
 #include "sim/runner.hh"
@@ -31,29 +31,14 @@
 namespace coscale {
 namespace exp {
 
-/** Identity of one baseline run (see digest.hh). */
-struct BaselineKey
-{
-    std::uint64_t cfgDigest = 0;
-    std::uint64_t appsDigest = 0;
-    std::string label;
-
-    bool
-    operator<(const BaselineKey &o) const
-    {
-        return std::tie(cfgDigest, appsDigest, label)
-               < std::tie(o.cfgDigest, o.appsDigest, o.label);
-    }
-};
-
 class BaselinePool
 {
   public:
     /**
-     * The memoized BaselinePolicy run matching @p req's configuration
-     * (with its seed override applied) and application list. Computes
-     * it on first request; the returned reference stays valid for the
-     * pool's lifetime. Rethrows the baseline's failure, if any.
+     * The memoized BaselinePolicy run matching @p req's configuration,
+     * application list and label. Computes it on first request; the
+     * returned reference stays valid for the pool's lifetime. Rethrows
+     * the baseline's failure, if any.
      */
     const RunResult &baseline(const RunRequest &req);
 
@@ -65,9 +50,20 @@ class BaselinePool
     std::size_t size() const;
 
   private:
+    /**
+     * One memoized baseline and the inputs that identify it. A process
+     * holds a few dozen at most, so a lookup is one pass over them.
+     */
+    struct Entry
+    {
+        SystemConfig cfg;
+        std::vector<AppSpec> apps;
+        std::string label;
+        std::shared_future<RunResult> result;
+    };
+
     mutable Mutex mu;
-    std::map<BaselineKey, std::shared_future<RunResult>> entries
-        COSCALE_GUARDED_BY(mu);
+    std::vector<Entry> entries COSCALE_GUARDED_BY(mu);
     std::atomic<std::uint64_t> nHits{0};
     std::atomic<std::uint64_t> nMisses{0};
 };

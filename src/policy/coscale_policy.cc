@@ -133,10 +133,10 @@ CoScalePolicy::decide(const SystemProfile &profile, const EnergyModel &em,
     // The performance reference is the machine the measured bound is
     // taken against: all-max frequencies at the baseline partition
     // (the even split the System installs and the baseline policy
-    // never moves). Anchoring at reference()'s per-core full
-    // associativity instead would compare against an unattainable
-    // machine and strangle the walk exactly when the LLC is
-    // contended — the case the way dimension exists for.
+    // never moves). Anchoring at every core at full associativity
+    // instead would compare against an unattainable machine and
+    // strangle the walk exactly when the LLC is contended — the case
+    // the way dimension exists for.
     FreqConfig ref_cfg = all_max;
     if (use_ways)
         ref_cfg.wayIdx = space.baselinePartition();

@@ -69,7 +69,6 @@ MultiScalePolicy::decide(const SystemProfile &profile,
 
     if (channels == 0) {
         // No per-channel profile available: behave like MemScale.
-        std::vector<double> ref = refTpis(em, profile, cfg);
         SearchStats stats;
         cfg.memIdx = memOnlyBest(em, profile, cfg.coreIdx, allowed,
                                  obsEnabled() ? &stats : nullptr);

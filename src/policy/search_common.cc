@@ -73,8 +73,6 @@ capScanBestForMem(const SerEvaluator &ev, const EnergyModel &em,
     std::vector<double> caps;
     caps.push_back(1.0);
 
-    (void)em;
-    (void)profile;
     for (int i = 0; i < n; ++i) {
         double t_max = ev.tpiAtMax(i);
         for (int c = 0; c < steps; ++c) {

@@ -46,6 +46,8 @@ struct CorePowerParams
     double eBranchNj = 0.12;   //!< extra energy per branch
     double eMemNj = 0.25;      //!< extra energy per load/store
     double leakW = 1.30;       //!< leakage at vNom
+
+    bool operator==(const CorePowerParams &) const = default;
 };
 
 /** Shared-L2 power parameters. */
@@ -53,6 +55,8 @@ struct L2PowerParams
 {
     double leakW = 10.0;
     double accessNj = 1.5;
+
+    bool operator==(const L2PowerParams &) const = default;
 };
 
 /** Memory-subsystem power-model parameters. */
@@ -88,6 +92,8 @@ struct MemPowerParams
      * splits of Figures 12-13.
      */
     double memPowerMultiplier = 1.0;
+
+    bool operator==(const MemPowerParams &) const = default;
 };
 
 /** All power parameters plus system-level assumptions. */
@@ -104,6 +110,8 @@ struct PowerParams
      * energy management (Section 4.1: 10%; Figure 11 varies it).
      */
     double otherFrac = 0.10;
+
+    bool operator==(const PowerParams &) const = default;
 };
 
 /** Modelled activity rates for the policies' power predictor. */

@@ -128,13 +128,13 @@ struct Comparison
 /**
  * A self-contained description of one simulation run: configuration,
  * workload, policy, seeding, and audit wiring. Requests are plain
- * values — copyable, comparable by digest, safe to ship to a worker
- * thread — and are the unit of work of the experiment engine
- * (exp/engine.hh) as well as the argument of the unified run() entry
- * point below.
+ * values — copyable, safe to ship to a worker thread, and keyed by
+ * the value of cfg, apps and label in the baseline pool — and are the
+ * unit of work of the experiment engine (exp/engine.hh) as well as
+ * the argument of the unified run() entry point below.
  *
  * Determinism contract: a run is a pure function of the request. Two
- * requests with equal configuration, apps, and seed produce
+ * requests with equal configuration (seed included) and apps produce
  * bit-identical RunResults regardless of which thread executes them
  * or what else runs concurrently.
  */

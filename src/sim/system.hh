@@ -52,6 +52,8 @@ struct KnobConfig
      */
     bool llcWays = false;
     int wayFloor = 1;  //!< QoS floor: minimum ways per core
+
+    bool operator==(const KnobConfig &) const = default;
 };
 
 /** Everything needed to instantiate a System. */
@@ -117,6 +119,8 @@ struct SystemConfig
      * epoch counts and relative overheads match the paper.
      */
     double timeScale = 0.2;
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /**

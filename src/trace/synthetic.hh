@@ -37,6 +37,8 @@ struct AppPhase
     double fFpu = 0.05;
     double fBranch = 0.15;
     double fMem = 0.35;
+
+    bool operator==(const AppPhase &) const = default;
 };
 
 /** A named application: phases, cycled until the core's budget. */
@@ -44,6 +46,8 @@ struct AppSpec
 {
     std::string name;
     std::vector<AppPhase> phases;
+
+    bool operator==(const AppSpec &) const = default;
 };
 
 /** Generates TraceRecords from an AppSpec. Fully value-typed. */

@@ -1,10 +1,11 @@
 /**
  * @file
- * Shared golden-fixture helper for the trace byte-identity tests
- * (test_obs, test_fault, test_golden). Fixtures live in the source
- * tree (tests/golden/, path injected via the COSCALE_GOLDEN_DIR
- * compile definition) so a mismatch shows up as a reviewable diff;
- * COSCALE_REGEN_GOLDEN=1 in the environment rewrites them in place.
+ * Shared golden-fixture helpers for the byte-identity tests. Fixtures
+ * live in the source tree (tests/golden/, path injected via the
+ * COSCALE_GOLDEN_DIR compile definition) so a mismatch shows up as a
+ * reviewable diff; COSCALE_REGEN_GOLDEN=1 in the environment rewrites
+ * them in place. The Digest accumulator folds kernel counters into
+ * the KernelPin.* pins (test_golden.cc).
  */
 
 #ifndef COSCALE_TESTS_GOLDEN_UTIL_HH
@@ -12,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,6 +25,40 @@
 #endif
 
 namespace coscale {
+
+/** FNV-1a accumulator over typed words (doubles hashed bit-exact). */
+class Digest
+{
+  public:
+    void
+    add(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            state ^= (v >> (8 * i)) & 0xffU;
+            state *= 0x100000001b3ULL;
+        }
+    }
+
+    void add(int v) { add(static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(v))); }
+    void add(bool v) { add(std::uint64_t(v ? 1 : 0)); }
+    void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+
+    void
+    add(const std::string &s)
+    {
+        add(static_cast<std::uint64_t>(s.size()));
+        for (char c : s) {
+            state ^= static_cast<unsigned char>(c);
+            state *= 0x100000001b3ULL;
+        }
+    }
+
+    std::uint64_t value() const { return state; }
+
+  private:
+    std::uint64_t state = 0xcbf29ce484222325ULL;
+};
 
 /**
  * Byte-compare @p got against the checked-in fixture, or rewrite the

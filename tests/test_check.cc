@@ -50,14 +50,6 @@ TEST(Contract, CheckFailureCarriesContext)
     }
 }
 
-TEST(Contract, LegacyAssertSharesTheCheckPath)
-{
-    ScopedPanicThrow guard;
-    // coscale-lint: allow(legacy-assert) -- this test pins the legacy macro's behaviour until it is removed
-    EXPECT_THROW(coscale_assert(false, "legacy %s", "spelling"),
-                 CheckFailure);
-}
-
 TEST(Contract, DcheckFollowsBuildMode)
 {
     ScopedPanicThrow guard;

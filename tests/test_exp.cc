@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "exp/bench_options.hh"
-#include "exp/digest.hh"
 #include "exp/engine.hh"
 #include "exp/policies.hh"
 #include "exp/report.hh"
@@ -210,8 +209,8 @@ TEST(BaselinePool, MemoizesByConfigAndWorkload)
     EXPECT_EQ(pool.hits(), 0u);
     EXPECT_EQ(pool.size(), 1u);
 
-    // Same config digest + workload digest -> a hit, and the same
-    // memoized RunResult object.
+    // Equal config, apps and label -> a hit, and the same memoized
+    // RunResult object.
     exp::RunOutcome second = engine.runOne(request("MID3"));
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_EQ(pool.misses(), 1u);
@@ -234,6 +233,115 @@ TEST(BaselinePool, MemoizesByConfigAndWorkload)
             .withBaseline());
     ASSERT_TRUE(fourth.ok) << fourth.error;
     EXPECT_EQ(pool.misses(), 3u);
+
+    // Every input that shapes a run is part of the key: each variant
+    // of `small` below must miss. They ask the pool directly, on 2
+    // cores at scale 0.01, so the sanitizer legs stay short.
+    SystemConfig small = smallConfig(0.01);
+    small.numCores = 2;
+    auto misses = [&pool](const SystemConfig &c, const char *mix) {
+        std::uint64_t before = pool.misses();
+        pool.baseline(RunRequest::forMix(c, mixByName(mix)));
+        return pool.misses() == before + 1;
+    };
+    ASSERT_TRUE(misses(small, "MID1"));
+    EXPECT_FALSE(misses(small, "MID1"));
+    EXPECT_TRUE(misses(small, "MID2"));
+
+    SystemConfig changed = small;
+    changed.gamma *= 2.0;
+    EXPECT_TRUE(misses(changed, "MID1")) << "gamma";
+
+    changed = small;
+    changed.seed += 1;
+    EXPECT_TRUE(misses(changed, "MID1")) << "seed";
+
+    changed = small;
+    changed.llc.prefetchNextLine = !changed.llc.prefetchNextLine;
+    EXPECT_TRUE(misses(changed, "MID1")) << "llc.prefetchNextLine";
+
+    changed = small;
+    changed.power.mem.memPowerMultiplier *= 2.0;
+    EXPECT_TRUE(misses(changed, "MID1"))
+        << "power.mem.memPowerMultiplier";
+
+    // The LLC way-partition knob: 2 cores on 16 ways open its gate,
+    // so the flip changes what the Baseline run simulates.
+    ASSERT_GE(small.llc.ways, 2 * small.numCores);
+    changed = small;
+    changed.knobs.llcWays = !changed.knobs.llcWays;
+    EXPECT_TRUE(misses(changed, "MID1")) << "knobs.llcWays";
+    EXPECT_EQ(pool.size(), 10u);
+}
+
+void
+expectSameComparison(const Comparison &a, const Comparison &b)
+{
+    EXPECT_EQ(a.fullSystemSavings, b.fullSystemSavings);
+    EXPECT_EQ(a.cpuSavings, b.cpuSavings);
+    EXPECT_EQ(a.memSavings, b.memSavings);
+    EXPECT_EQ(a.avgDegradation, b.avgDegradation);
+    EXPECT_EQ(a.worstDegradation, b.worstDegradation);
+}
+
+TEST(ExperimentEngine, BaselineComparisonsIgnoreRequestOrder)
+{
+    // A CoScale request on an unpartitioned LLC and a Baseline request
+    // on the same machine with the way-partition knob armed: 2 cores
+    // on 16 ways open its gate, and a 1 MB LLC under uneven hot sets
+    // makes the partition change the run. Each request must be
+    // compared with the Baseline of its own config, whichever of the
+    // two comes first in the batch.
+    SystemConfig flat = smallConfig(0.01);
+    flat.numCores = 2;
+    flat.llc.sizeBytes = std::uint64_t(1) << 20;
+    // Explicit: COSCALE_KNOB_LLC_WAYS=1 arms it in makeScaledConfig().
+    flat.knobs.llcWays = false;
+    SystemConfig parted = flat;
+    parted.knobs.llcWays = true;
+
+    auto request = [](const SystemConfig &cfg, const char *policy) {
+        RunRequest req =
+            RunRequest::forMix(cfg, mixByName("MID1"))
+                .with(exp::policyFactoryByName(policy, cfg.numCores,
+                                               cfg.gamma))
+                .withBaseline();
+        applyHotFootprints(req.apps, {4096, 12288});
+        return req;
+    };
+    const RunRequest coscale = request(flat, "CoScale");
+    const RunRequest base = request(parted, "Baseline");
+
+    auto runBatch = [](exp::BaselinePool &pool,
+                       const std::vector<RunRequest> &requests) {
+        exp::EngineOptions opts;
+        opts.jobs = 1;
+        opts.pool = &pool;
+        std::vector<exp::RunOutcome> outcomes =
+            exp::ExperimentEngine(opts).run(requests);
+        EXPECT_EQ(pool.misses(), 2u);
+        for (const exp::RunOutcome &out : outcomes) {
+            EXPECT_TRUE(out.ok) << out.error;
+            EXPECT_TRUE(out.hasBaseline);
+        }
+        return outcomes;
+    };
+    exp::BaselinePool pool_fwd;
+    exp::BaselinePool pool_rev;
+    std::vector<exp::RunOutcome> fwd = runBatch(pool_fwd, {coscale, base});
+    std::vector<exp::RunOutcome> rev = runBatch(pool_rev, {base, coscale});
+    ASSERT_EQ(fwd.size(), 2u);
+    ASSERT_EQ(rev.size(), 2u);
+
+    // The Baseline policy against its own Baseline: nothing saved,
+    // nothing slowed.
+    EXPECT_EQ(fwd[1].vsBaseline.fullSystemSavings, 0.0);
+    EXPECT_EQ(fwd[1].vsBaseline.worstDegradation, 0.0);
+    EXPECT_EQ(rev[0].vsBaseline.fullSystemSavings, 0.0);
+    EXPECT_EQ(rev[0].vsBaseline.worstDegradation, 0.0);
+
+    expectSameComparison(fwd[0].vsBaseline, rev[1].vsBaseline);
+    expectSameComparison(fwd[1].vsBaseline, rev[0].vsBaseline);
 }
 
 TEST(BaselinePool, SharedAcrossParallelBatch)
@@ -355,37 +463,6 @@ TEST(BenchOptions, ParsesSharedFlags)
     exp::BenchOptions def = exp::parseBenchArgs(1,
         const_cast<char **>(none), 0.2);
     EXPECT_DOUBLE_EQ(def.scale, 0.2);
-}
-
-TEST(Digest, SensitiveToEveryRelevantKnob)
-{
-    SystemConfig cfg = smallConfig();
-    std::uint64_t base = exp::configDigest(cfg);
-
-    SystemConfig changed = cfg;
-    changed.gamma *= 2.0;
-    EXPECT_NE(exp::configDigest(changed), base);
-
-    changed = cfg;
-    changed.seed += 1;
-    EXPECT_NE(exp::configDigest(changed), base);
-
-    changed = cfg;
-    changed.llc.prefetchNextLine = !changed.llc.prefetchNextLine;
-    EXPECT_NE(exp::configDigest(changed), base);
-
-    changed = cfg;
-    changed.power.mem.memPowerMultiplier *= 2.0;
-    EXPECT_NE(exp::configDigest(changed), base);
-
-    EXPECT_EQ(exp::configDigest(cfg), base);
-
-    std::vector<AppSpec> a =
-        expandMix(mixByName("MID1"), cfg.numCores, cfg.instrBudget);
-    std::vector<AppSpec> b =
-        expandMix(mixByName("MID2"), cfg.numCores, cfg.instrBudget);
-    EXPECT_NE(exp::workloadDigest(a), exp::workloadDigest(b));
-    EXPECT_EQ(exp::workloadDigest(a), exp::workloadDigest(a));
 }
 
 TEST(PolicyFactories, KnowsPaperAndCliNames)

@@ -22,7 +22,6 @@
 
 #include "cache/llc.hh"
 #include "common/rng.hh"
-#include "exp/digest.hh"
 #include "exp/policies.hh"
 #include "golden_util.hh"
 #include "memctrl/mem_ctrl.hh"
@@ -409,7 +408,7 @@ TEST(KernelDeterminism, EpochSlicingDoesNotChangeTheEventStream)
 
 /** Fold every kernel-produced counter of @p sys into @p d. */
 void
-digestSystem(exp::Digest &d, const System &sys)
+digestSystem(Digest &d, const System &sys)
 {
     CounterSnapshot s = sys.snapshot();
     for (const CoreCounters &c : s.cores) {
@@ -492,7 +491,7 @@ std::uint64_t
 digestEpochs(System &sys, int epochs)
 {
     const SystemConfig &cfg = sys.config();
-    exp::Digest d;
+    Digest d;
     for (int e = 0; e < epochs; ++e) {
         if (cfg.schedQuantumEpochs > 0 && e > 0
             && e % cfg.schedQuantumEpochs == 0)
@@ -548,7 +547,7 @@ TEST(KernelPin, SubEpochWindowsDigest)
     // Windows of 1-24 ns against a 7.5 ns LLC hit latency, so many
     // window ends fall between a hit and its return. A DVFS change
     // every 64 windows lets a mis-timed return change later state too.
-    exp::Digest d;
+    Digest d;
     Rng rng(5);
     Tick end = 2 * cfg.epochLen;
     for (int w = 0; sys.now() < end; ++w) {

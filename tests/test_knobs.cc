@@ -149,12 +149,9 @@ TEST_F(KnobFixture, DvfsOnlySpaceShapeAndMembership)
     EXPECT_EQ(space.coreSteps, static_cast<int>(em.cores().size()));
     EXPECT_EQ(space.memSteps, static_cast<int>(em.mem().size()));
     EXPECT_FALSE(space.llcWays);
-    // Dimension roster: one per core plus the shared memory knob.
-    EXPECT_EQ(space.dims.size(), 5u);
 
     FreqConfig ok = FreqConfig::allMax(4);
     EXPECT_TRUE(space.contains(ok));
-    EXPECT_EQ(space.reference().coreIdx, ok.coreIdx);
 
     FreqConfig off_ladder = ok;
     off_ladder.coreIdx[2] = space.coreSteps;  // one past the end
@@ -181,8 +178,6 @@ TEST_F(KnobFixture, WaySpaceMembershipFloorAndBudget)
     ASSERT_TRUE(space.llcWays);
     EXPECT_EQ(space.waysTotal, 16);
     EXPECT_EQ(space.wayFloor, 1);
-    // Four core knobs, one memory knob, four way knobs.
-    EXPECT_EQ(space.dims.size(), 9u);
 
     FreqConfig ok = FreqConfig::allMax(4);
     ok.wayIdx.assign(4, 4);
@@ -201,11 +196,6 @@ TEST_F(KnobFixture, WaySpaceMembershipFloorAndBudget)
     FreqConfig wrong_width = ok;
     wrong_width.wayIdx.pop_back();
     EXPECT_FALSE(space.contains(wrong_width));
-
-    // The modeling reference gives every core the full associativity
-    // (a bound, not an applicable partition).
-    FreqConfig ref = space.reference();
-    EXPECT_EQ(ref.wayIdx, std::vector<int>(4, 16));
 }
 
 TEST_F(KnobFixture, UnderCapIsAFeasibilityPredicate)

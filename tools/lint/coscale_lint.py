@@ -66,14 +66,6 @@ RULES = {
         "exempt": ["src/common/log.cc", "src/common/log.hh",
                    "src/check/contract.hh"],
     },
-    "legacy-assert": {
-        "desc": "coscale_assert is the deprecated spelling of "
-                "COSCALE_CHECK",
-        "why": "one invariant macro family keeps grep, tooling, and "
-               "the suppression story simple.",
-        "hint": "spell it COSCALE_CHECK",
-        "exempt": ["src/common/log.hh"],  # the definition itself
-    },
     "ambient-rng": {
         "desc": "ambient RNG (rand/random_device/...) in simulator "
                 "code",
@@ -370,9 +362,6 @@ BANNED_CALL_RULES = [
      re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?"
                 r"(assert|abort|exit|_Exit|quick_exit)\s*\("),
      "raw '%s(' call"),
-    ("legacy-assert",
-     re.compile(r"(?<![\w.>:])(coscale_assert)\s*\("),
-     "'%s(' is deprecated"),
     ("ambient-rng",
      re.compile(r"(?<![\w.>:])(?:std\s*::\s*)?"
                 r"(rand|srand|rand_r|drand48|mrand48|lrand48)\s*\("),
